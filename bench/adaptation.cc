@@ -74,8 +74,10 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(
               outcome.metrics.scan.cache_block_hits),
           static_cast<unsigned long long>(state->map().evictions()),
-          static_cast<unsigned long long>(state->cache().evictions()),
-          static_cast<unsigned long long>(state->store().evictions()));
+          static_cast<unsigned long long>(
+              state->segments().stats(SegmentClass::kProbationary).evictions),
+          static_cast<unsigned long long>(
+              state->segments().stats(SegmentClass::kProtected).evictions));
     }
   }
 
@@ -86,7 +88,9 @@ int main(int argc, char** argv) {
       "slow again; total evictions map=%llu cache=%llu store=%llu show "
       "old epochs being dropped\n",
       static_cast<unsigned long long>(state->map().evictions()),
-      static_cast<unsigned long long>(state->cache().evictions()),
-      static_cast<unsigned long long>(state->store().evictions()));
+      static_cast<unsigned long long>(
+          state->segments().stats(SegmentClass::kProbationary).evictions),
+      static_cast<unsigned long long>(
+          state->segments().stats(SegmentClass::kProtected).evictions));
   return 0;
 }

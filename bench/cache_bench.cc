@@ -81,9 +81,10 @@ void BM_CacheBudgetSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kTuples);
   state.counters["hit_blocks"] = static_cast<double>(
-      table.cache().hits());
+      table.segments().counters().hits);
   state.counters["evictions"] =
-      static_cast<double>(table.cache().evictions());
+      static_cast<double>(
+          table.segments().stats(SegmentClass::kProbationary).evictions);
 }
 BENCHMARK(BM_CacheBudgetSweep)
     ->Arg(0)

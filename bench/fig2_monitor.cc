@@ -55,11 +55,14 @@ int main() {
     ++qid;
     CheckOk(engine.Execute(step.sql).status(), step.label);
     const RawTableState* state = engine.table_state("mon");
+    const SegmentStore::ClassStats cache =
+        state->segments().stats(SegmentClass::kProbationary);
+    const SegmentStore::Counters lookups = state->segments().counters();
     std::printf("%d,%.4f,%.4f,%zu,%zu,%llu,%llu\n", qid,
-                state->map().utilization(), state->cache().utilization(),
-                state->map().num_chunks(), state->cache().num_segments(),
-                static_cast<unsigned long long>(state->cache().hits()),
-                static_cast<unsigned long long>(state->cache().misses()));
+                state->map().utilization(), cache.utilization(),
+                state->map().num_chunks(), cache.segments,
+                static_cast<unsigned long long>(lookups.hits),
+                static_cast<unsigned long long>(lookups.misses));
     panels += "\nafter ";
     panels += step.label;
     panels += ":\n";
@@ -103,8 +106,11 @@ int main() {
                 watch.ElapsedMillis(),
                 static_cast<unsigned long long>(state->map().evictions()),
                 static_cast<unsigned long long>(
-                    state->cache().evictions()),
-                static_cast<unsigned long long>(state->cache().hits()));
+                    state->segments()
+                        .stats(SegmentClass::kProbationary)
+                        .evictions),
+                static_cast<unsigned long long>(
+                    state->segments().counters().hits));
   }
   return 0;
 }

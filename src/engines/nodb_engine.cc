@@ -558,7 +558,7 @@ namespace {
 /// before teardown.
 bool HasAdaptiveState(const RawTableState& state) {
   return state.map().known_rows() > 0 || state.map().rows_complete() ||
-         state.store().num_segments() > 0 ||
+         state.segments().stats(SegmentClass::kProtected).segments > 0 ||
          state.zones().num_entries() > 0 ||
          !state.stats().CoveredAttributes().empty() ||
          state.recovery().any_recovered();

@@ -21,32 +21,36 @@ std::string MonitorPanel::Bar(double fraction, size_t width) {
   return bar;
 }
 
+std::string MonitorPanel::SegmentLines(const SegmentStore& segments) {
+  const SegmentStore::ClassStats cache =
+      segments.stats(SegmentClass::kProbationary);
+  const SegmentStore::ClassStats store =
+      segments.stats(SegmentClass::kProtected);
+  const SegmentStore::Counters lookups = segments.counters();
+  return "cache           " + Bar(cache.utilization()) + "  " +
+         FormatBytes(cache.bytes) + " / " + FormatBytes(cache.quota) +
+         ", " + std::to_string(cache.segments) + " segments, hits " +
+         std::to_string(lookups.hits) + " / misses " +
+         std::to_string(lookups.misses) + "\n" + "shadow store    " +
+         Bar(store.utilization()) + "  " + FormatBytes(store.bytes) +
+         " / " + FormatBytes(store.quota) + ", " +
+         std::to_string(store.segments) + " segments, " +
+         std::to_string(lookups.promotions) + " promotions, hits " +
+         std::to_string(lookups.block_hits) + " / evictions " +
+         std::to_string(store.evictions) + "\n";
+}
+
 std::string MonitorPanel::RenderTableState(const RawTableState& state) {
   std::string out;
   out += "=== PostgresRaw monitoring: table '" + state.info().name +
          "' ===\n";
   const PositionalMap& map = state.map();
-  const RawCache& cache = state.cache();
-
   out += "positional map  " + Bar(map.utilization()) + "  " +
          FormatBytes(map.bytes_used()) + " / " +
          FormatBytes(map.budget_bytes()) + ", " +
          std::to_string(map.num_chunks()) + " chunks, " +
          std::to_string(map.evictions()) + " evictions\n";
-  out += "cache           " + Bar(cache.utilization()) + "  " +
-         FormatBytes(cache.bytes_used()) + " / " +
-         FormatBytes(cache.budget_bytes()) + ", " +
-         std::to_string(cache.num_segments()) + " segments, hits " +
-         std::to_string(cache.hits()) + " / misses " +
-         std::to_string(cache.misses()) + "\n";
-  const ShadowStore& store = state.store();
-  out += "shadow store    " + Bar(store.utilization()) + "  " +
-         FormatBytes(store.bytes_used()) + " / " +
-         FormatBytes(store.budget_bytes()) + ", " +
-         std::to_string(store.num_segments()) + " segments, " +
-         std::to_string(store.promotions()) + " promotions, hits " +
-         std::to_string(store.hits()) + " / evictions " +
-         std::to_string(store.evictions()) + "\n";
+  out += SegmentLines(state.segments());
   out += "tuple index     " + std::to_string(map.known_rows()) +
          " rows known" +
          std::string(map.rows_complete() ? " (complete)" : " (partial)") +
@@ -110,8 +114,6 @@ std::string MonitorPanel::RenderBreakdown(const std::string& label,
 
 std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
   const PositionalMap& map = state.map();
-  const RawCache& cache = state.cache();
-  const ShadowStore& store = state.store();
   const uint64_t known = map.known_rows();
 
   std::string out;
@@ -122,17 +124,7 @@ std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
          std::to_string(map.num_chunks()) + " chunks, " +
          std::to_string(known) + " rows known" +
          (map.rows_complete() ? " (complete)" : " (partial)") + "\n";
-  out += "raw cache       " + FormatBytes(cache.bytes_used()) + " / " +
-         FormatBytes(cache.budget_bytes()) + ", " +
-         std::to_string(cache.num_segments()) + " segments, hits " +
-         std::to_string(cache.hits()) + " / misses " +
-         std::to_string(cache.misses()) + "\n";
-  out += "shadow store    " + FormatBytes(store.bytes_used()) + " / " +
-         FormatBytes(store.budget_bytes()) + ", " +
-         std::to_string(store.num_segments()) + " segments, " +
-         std::to_string(store.promotions()) + " promotions, " +
-         std::to_string(store.evictions()) + " evictions, block hits " +
-         std::to_string(store.hits()) + "\n";
+  out += SegmentLines(state.segments());
   out += "zone maps       " + std::to_string(state.zones().num_entries()) +
          " (attribute, block) summaries\n";
 
@@ -159,14 +151,16 @@ std::string MonitorPanel::RenderStorageTiers(const RawTableState& state) {
     out += "recovered       nothing (built by queries this process)\n";
   }
 
-  const std::vector<uint32_t> promoted = store.MaterializedAttributes();
+  const std::vector<uint64_t> rows = state.segments().protected_rows();
   const std::vector<uint64_t> heat = state.stats().access_heat_counts();
-  out += "promoted columns (" + std::to_string(promoted.size()) + "):\n";
-  for (uint32_t a : promoted) {
-    double coverage =
-        known == 0 ? 0.0
-                   : static_cast<double>(store.rows_materialized(a)) /
-                         static_cast<double>(known);
+  const size_t promoted = static_cast<size_t>(
+      std::count_if(rows.begin(), rows.end(), [](uint64_t n) { return n; }));
+  out += "promoted columns (" + std::to_string(promoted) + "):\n";
+  for (uint32_t a = 0; a < rows.size(); ++a) {
+    if (rows[a] == 0) continue;
+    double coverage = known == 0 ? 0.0
+                                 : static_cast<double>(rows[a]) /
+                                       static_cast<double>(known);
     char line[160];
     std::snprintf(line, sizeof(line),
                   "  %-16s heat %6llu   store %s\n",

@@ -25,8 +25,9 @@ class MonitorPanel {
   static std::string RenderTableState(const RawTableState& state);
 
   /// The storage-tier report (the shell's \tiers command): raw file →
-  /// RawCache → shadow store, with per-tier bytes vs budgets, hit
-  /// counters and the promoted columns' heat and coverage.
+  /// probationary (cache) → protected (shadow store) segments, with
+  /// per-class bytes vs quotas, hit counters and the promoted columns'
+  /// heat and coverage.
   static std::string RenderStorageTiers(const RawTableState& state);
 
   /// The Query Execution Breakdown panel (Figure 3): one stacked row
@@ -54,6 +55,11 @@ class MonitorPanel {
 
   /// A horizontal percentage bar, e.g. "[#####.....] 50.0%".
   static std::string Bar(double fraction, size_t width = 30);
+
+ private:
+  /// The cache (probationary) and shadow-store (protected) lines both
+  /// table panels show.
+  static std::string SegmentLines(const SegmentStore& segments);
 };
 
 }  // namespace nodb

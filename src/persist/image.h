@@ -8,7 +8,7 @@
 #include "io/file_signature.h"
 #include "raw/positional_map.h"
 #include "raw/stats_collector.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 
 namespace nodb::persist {
 
@@ -22,7 +22,7 @@ struct AdaptiveImage {
   std::optional<PositionalMap::Image> map;
   std::optional<StatsCollector::Image> stats;
   std::optional<ZoneMaps::Image> zones;
-  std::optional<ShadowStore::Image> store;
+  std::optional<SegmentStore::Image> store;
 };
 
 /// What a recovery attempt actually restored vs left to be rebuilt —

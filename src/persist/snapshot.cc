@@ -290,7 +290,7 @@ bool DecodeZones(const char* data, size_t size, ZoneMaps::Image* out) {
   return r.ok();
 }
 
-void EncodeStore(const ShadowStore::Image& image, std::string* buf) {
+void EncodeStore(const SegmentStore::Image& image, std::string* buf) {
   std::string& out = *buf;
   PutU64(&out, image.segments.size());
   for (const auto& seg : image.segments) {
@@ -325,7 +325,7 @@ void EncodeStore(const ShadowStore::Image& image, std::string* buf) {
 }
 
 bool DecodeStore(const char* data, size_t size, const Schema& schema,
-                 ShadowStore::Image* out) {
+                 SegmentStore::Image* out) {
   ByteReader r(data, size);
   uint64_t n = r.U64();
   if (!r.FitsCount(n, 4 + 8 + 1 + 8)) return false;
@@ -371,7 +371,7 @@ bool DecodeStore(const char* data, size_t size, const Schema& schema,
       continue;
     }
     out->segments.push_back(
-        ShadowStore::Image::SegmentImage{attr, block, std::move(col)});
+        SegmentStore::Image::SegmentImage{attr, block, std::move(col)});
   }
   return r.ok();
 }
@@ -695,7 +695,7 @@ Result<RecoveryReport> LoadSnapshotImpl(RawTableState* state,
         break;
       }
       case Snapshot::kSectionStore: {
-        ShadowStore::Image store_image;
+        SegmentStore::Image store_image;
         decoded = DecodeStore(payload, section.length,
                               *state->info().schema, &store_image);
         if (decoded) image.store = std::move(store_image);

@@ -29,7 +29,10 @@ struct NoDbConfig {
   bool enable_positional_map = true;
   size_t positional_map_budget = 64u << 20;  // bytes
 
-  /// Binary raw-data cache (paper §3.2).
+  /// Binary raw-data cache (paper §3.2): the probationary class of the
+  /// table's SegmentStore (store/segment_store.h), holding whatever
+  /// segments scans happened to parse. `cache_budget` is that class's
+  /// quota; a segment is counted against exactly one class.
   bool enable_cache = true;
   size_t cache_budget = 256u << 20;  // bytes
 
@@ -53,11 +56,14 @@ struct NoDbConfig {
   /// block); NULL-bearing blocks are never skipped.
   bool enable_zone_maps = true;
 
-  /// Shadow column store (store/shadow_store.h): heat-driven background
-  /// materialization of hot columns — the paper's adaptive-loading end
-  /// state where frequently accessed raw data gradually becomes loaded
-  /// data. Serving from the store requires the positional map (the
-  /// hybrid plan's raw residue needs it to locate rows).
+  /// Shadow column store: the protected class of the table's
+  /// SegmentStore, holding full-block segments of hot columns promoted
+  /// by heat — the paper's adaptive-loading end state where frequently
+  /// accessed raw data gradually becomes loaded data. `store_budget` is
+  /// that class's quota; a segment evicted from it drops back to the
+  /// probationary class. Serving whole blocks from the store requires
+  /// the positional map (the hybrid plan's raw residue needs it to
+  /// locate rows).
   bool enable_store = true;
   size_t store_budget = 256u << 20;  // bytes
 
@@ -68,8 +74,8 @@ struct NoDbConfig {
   /// pool fills whatever that scan did not cover.
   uint32_t promote_after_accesses = 2;
 
-  /// Row-block granularity shared by the map and cache. One chunk /
-  /// cached column segment covers this many consecutive tuples.
+  /// Row-block granularity shared by the map and segment store. One
+  /// chunk / column segment covers this many consecutive tuples.
   uint32_t rows_per_block = 4096;
 
   /// Distance policy (paper §3.1 "Adaptive Behavior"): a query's

@@ -51,9 +51,10 @@ struct Fragment {
 /// With `enable_simd = false` the same walk runs over scalar-built
 /// lists — one code path, byte-identical output at every tier.
 void ScanChunk(const RawTableState& state,
+               std::shared_ptr<RandomAccessFile> file,
                const std::vector<uint32_t>& attrs, bool parse_values,
                uint64_t begin, uint64_t end, Fragment* frag) {
-  BufferedReader reader(state.file(), state.config().read_buffer_bytes);
+  BufferedReader reader(std::move(file), state.config().read_buffer_bytes);
   const simd::SimdLevel level =
       simd::LevelFor(state.config().enable_simd);
   const CsvTokenizer tokenizer(state.info().dialect, level);
@@ -214,9 +215,14 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
   const bool use_zones = config.enable_zone_maps;
   const bool parse_values =
       (use_cache || use_stats || use_zones) && !attrs.empty();
+  // Generations first, then the one file handle every worker reads: a
+  // rewrite after this point drops this pass's publications.
+  const uint64_t map_generation = state->map().generation();
+  const uint64_t segment_generation = state->segments().generation();
   const uint64_t zone_generation = state->zones().generation();
+  const std::shared_ptr<RandomAccessFile> file = state->file();
 
-  BufferedReader reader(state->file(), config.read_buffer_bytes);
+  BufferedReader reader(file, config.read_buffer_bytes);
   NODB_RETURN_NOT_OK(reader.Refresh());
   const uint64_t file_size = reader.file_size();
 
@@ -234,7 +240,8 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
 
   if (data_begin >= file_size) {
     if (use_map && state->map().known_rows() == 0) {
-      state->map().PublishRowIndex({}, data_begin, file_size);
+      state->map().PublishRowIndex({}, data_begin, file_size,
+                                   map_generation);
     }
     return out;
   }
@@ -275,7 +282,7 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
     ThreadPool pool(out.threads);
     const RawTableState& cstate = *state;
     ParallelFor(&pool, frags.size(), [&](size_t i) {
-      ScanChunk(cstate, attrs, parse_values, bounds[i], bounds[i + 1],
+      ScanChunk(cstate, file, attrs, parse_values, bounds[i], bounds[i + 1],
                 &frags[i]);
     });
   }
@@ -296,7 +303,7 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
 
   // Join, part 2: replay the fragments in file order, committing one
   // row-block at a time — the same order and granularity the serial
-  // scan uses, so map chunks, cache segments, statistics and their LRU
+  // scan uses, so map chunks, segments, statistics and their LRU
   // recency come out identical.
   //
   // The merge holds the map's discovery baton so a concurrent serial
@@ -304,7 +311,7 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
   // at their first undiscovered row and then find the whole file
   // published at once. Readers of already-published state never block.
   PositionalMap& map = state->map();
-  PositionalMap::Discovery merge_baton(&map);
+  PositionalMap::Discovery merge_baton(&map, map_generation);
   if (use_map && map.known_rows() == 0 && !map.rows_complete()) {
     // The discovery cursor must be one past the last row's end — taken
     // from the last fragment that actually owns rows (trailing chunks
@@ -317,7 +324,8 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
                         frag.row_starts.end());
       if (!frag.row_starts.empty()) cursor = frag.end_cursor;
     }
-    map.PublishRowIndex(std::move(row_starts), cursor, file_size);
+    map.PublishRowIndex(std::move(row_starts), cursor, file_size,
+                        map_generation);
   }
 
   const uint32_t rows_per_block = config.rows_per_block;
@@ -340,11 +348,9 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
         // First-touch pass over the whole file: every block's segment
         // provably covers it (the final partial block is the tail of
         // the just-published complete row index).
-        bool covers =
-            segment->size() >= rows_per_block ||
-            (map.rows_complete() &&
-             block * uint64_t{rows_per_block} + segment->size() ==
-                 map.known_rows());
+        bool covers = segment->size() >= rows_per_block ||
+                      block * uint64_t{rows_per_block} + segment->size() ==
+                          map.CompleteRows(file_size);
         if (covers) {
           state->zones().Observe(attrs[j], block, *segment,
                                  zone_generation);
@@ -354,7 +360,9 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
         state->stats().ObserveBlock(attrs[j], block, *segment);
       }
       if (use_cache) {
-        state->cache().Put(attrs[j], block, segment);
+        state->segments().Put(attrs[j], block, std::move(segment),
+                              SegmentClass::kProbationary,
+                              segment_generation);
       }
     }
   };
@@ -367,7 +375,7 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
         if (use_map && !attrs.empty()) {
           PositionalMap::BlockPlan plan = map.PrepareBlock(row, attrs);
           if (map.ShouldIndexCombination(plan)) {
-            builder = map.StartChunk(row, attrs);
+            builder = map.StartChunk(row, attrs, map_generation);
           }
         }
         if (parse_values) {

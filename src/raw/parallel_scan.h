@@ -17,8 +17,8 @@ struct ParallelScanStats {
 };
 
 /// Parallel first-touch scan: builds the table's NoDB structures — row
-/// index, positional-map chunks, cache segments and statistics for
-/// `attrs` — in one multi-threaded pass over the raw file.
+/// index, positional-map chunks, probationary segments and statistics
+/// for `attrs` — in one multi-threaded pass over the raw file.
 ///
 /// The file's data region is partitioned into `num_threads`
 /// newline-aligned byte chunks; a worker per chunk discovers tuple
@@ -26,7 +26,7 @@ struct ParallelScanStats {
 /// (selective tokenizing/parsing, as the serial scan would), and
 /// accumulates a local fragment. Fragments are then merged on the
 /// calling thread *in file order*, so the resulting PositionalMap,
-/// RawCache and StatsCollector contents — and therefore all query
+/// SegmentStore and StatsCollector contents — and therefore all query
 /// results — are byte-identical to what the serial RawScanOperator
 /// produces, for any thread count.
 ///

@@ -22,15 +22,9 @@ uint64_t PositionalMap::row_start(uint64_t row) const {
   return row_starts_[row];
 }
 
-void PositionalMap::AddRowStart(uint64_t offset) {
-  WriterLock lock(mu_);
-  row_starts_.push_back(offset);
-}
-
-void PositionalMap::MarkRowsComplete(uint64_t file_size) {
-  WriterLock lock(mu_);
-  rows_complete_ = true;
-  indexed_file_size_ = file_size;
+uint64_t PositionalMap::generation() const {
+  ReaderLock lock(mu_);
+  return generation_;
 }
 
 bool PositionalMap::rows_complete() const {
@@ -38,14 +32,11 @@ bool PositionalMap::rows_complete() const {
   return rows_complete_;
 }
 
-uint64_t PositionalMap::indexed_file_size() const {
+uint64_t PositionalMap::CompleteRows(uint64_t file_size) const {
   ReaderLock lock(mu_);
-  return indexed_file_size_;
-}
-
-uint64_t PositionalMap::next_discovery_offset() const {
-  ReaderLock lock(mu_);
-  return next_discovery_offset_;
+  return rows_complete_ && indexed_file_size_ == file_size
+             ? row_starts_.size()
+             : UINT64_MAX;
 }
 
 void PositionalMap::EnsureDiscoveryStartsAt(uint64_t offset) {
@@ -57,8 +48,10 @@ void PositionalMap::EnsureDiscoveryStartsAt(uint64_t offset) {
 }
 
 void PositionalMap::PublishRowIndex(std::vector<uint64_t> starts,
-                                    uint64_t cursor, uint64_t file_size) {
+                                    uint64_t cursor, uint64_t file_size,
+                                    uint64_t generation) {
   WriterLock lock(mu_);
+  if (generation != generation_) return;  // indexed a rewritten file
   if (!row_starts_.empty() || rows_complete_) return;  // no longer cold
   row_starts_ = std::move(starts);
   next_discovery_offset_ = std::max(next_discovery_offset_, cursor);
@@ -66,9 +59,10 @@ void PositionalMap::PublishRowIndex(std::vector<uint64_t> starts,
   indexed_file_size_ = file_size;
 }
 
-void PositionalMap::ReopenForAppend() {
+void PositionalMap::ReopenForAppend(uint64_t file_size) {
   WriterLock lock(mu_);
   rows_complete_ = false;
+  indexed_file_size_ = std::max(indexed_file_size_, file_size);
 }
 
 PositionalMap::RowSnapshot PositionalMap::SnapshotRows(
@@ -78,6 +72,7 @@ PositionalMap::RowSnapshot PositionalMap::SnapshotRows(
   RowSnapshot snap;
   snap.known_rows = row_starts_.size();
   snap.complete = rows_complete_;
+  snap.generation = generation_;
   bounds->clear();
   if (first_row >= snap.known_rows || count == 0) return snap;
 
@@ -103,7 +98,8 @@ PositionalMap::RowSnapshot PositionalMap::SnapshotRows(
 
 // ---------------------------------------------------------- discovery
 
-PositionalMap::Discovery::Discovery(PositionalMap* map) : map_(map) {
+PositionalMap::Discovery::Discovery(PositionalMap* map, uint64_t generation)
+    : map_(map), generation_(generation) {
   map_->discovery_mu_.Lock();
 }
 
@@ -112,6 +108,7 @@ PositionalMap::Discovery::~Discovery() { map_->discovery_mu_.Unlock(); }
 bool PositionalMap::Discovery::NeedsRow(uint64_t row, uint64_t* resume,
                                         uint64_t* frontier_row) const {
   ReaderLock lock(map_->mu_);
+  if (generation_ != map_->generation_) return false;
   const uint64_t known = map_->row_starts_.size();
   if (row < known) {
     if (row + 1 < known) return false;
@@ -128,6 +125,7 @@ bool PositionalMap::Discovery::NeedsRow(uint64_t row, uint64_t* resume,
 
 void PositionalMap::Discovery::PublishRow(uint64_t start, uint64_t end) {
   WriterLock lock(map_->mu_);
+  if (generation_ != map_->generation_) return;
   if (map_->row_starts_.empty() || start > map_->row_starts_.back()) {
     map_->row_starts_.push_back(start);
   }
@@ -137,6 +135,10 @@ void PositionalMap::Discovery::PublishRow(uint64_t start, uint64_t end) {
 
 void PositionalMap::Discovery::MarkComplete(uint64_t file_size) {
   WriterLock lock(map_->mu_);
+  if (generation_ != map_->generation_) return;
+  // A scan opened before an append saw the old end of file; the index
+  // now describes at least the appended size.
+  if (file_size < map_->indexed_file_size_) return;
   map_->rows_complete_ = true;
   map_->indexed_file_size_ = file_size;
 }
@@ -172,6 +174,7 @@ PositionalMap::BlockPlan PositionalMap::PrepareBlock(
   WriterLock lock(mu_);
   BlockPlan plan;
   plan.block_first_row_ = BlockIndex(first_row) * rows_per_block_;
+  plan.generation_ = generation_;
   plan.sources_.resize(attrs.size());
 
   auto it = blocks_.find(BlockIndex(first_row));
@@ -269,9 +272,11 @@ void PositionalMap::ChunkBuilder::AddRow(const uint32_t* starts,
 }
 
 PositionalMap::ChunkBuilder PositionalMap::StartChunk(
-    uint64_t first_row, const std::vector<uint32_t>& attrs) {
+    uint64_t first_row, const std::vector<uint32_t>& attrs,
+    uint64_t generation) {
   ChunkBuilder builder;
   builder.first_row_ = first_row;
+  builder.generation_ = generation;
   builder.attrs_ = attrs;
   builder.data_.reserve(static_cast<size_t>(rows_per_block_) *
                         attrs.size() * 2);
@@ -281,6 +286,7 @@ PositionalMap::ChunkBuilder PositionalMap::StartChunk(
 void PositionalMap::CommitChunk(ChunkBuilder builder) {
   if (builder.rows_ == 0) return;
   WriterLock lock(mu_);
+  if (builder.generation_ != generation_) return;  // a rewritten file
   // Concurrent queries over the same cold block race to index the same
   // combination; both parsed identical bytes, so the first equal (or
   // wider) chunk wins and the duplicate is dropped.
@@ -449,6 +455,7 @@ bool PositionalMap::ImportImage(Image image) {
 
 void PositionalMap::Clear() {
   WriterLock lock(mu_);
+  ++generation_;
   row_starts_.clear();
   rows_complete_ = false;
   indexed_file_size_ = 0;

@@ -74,20 +74,18 @@ class PositionalMap {
   /// Byte offset where row `row` starts. Requires row < known_rows().
   uint64_t row_start(uint64_t row) const EXCLUDES(mu_);
 
-  /// Records the start of row known_rows() (sequential discovery).
-  /// Prefer Discovery::PublishRow, which also publishes the row's end;
-  /// this remains for single-threaded index construction in tests.
-  void AddRowStart(uint64_t offset) EXCLUDES(mu_);
+  /// The file generation, advanced by Clear(). Every publication
+  /// (Discovery, StartChunk, PublishRowIndex) carries the generation
+  /// its scan snapshotted before opening the file; stale ones drop.
+  uint64_t generation() const EXCLUDES(mu_);
 
-  /// Marks that the discovery scan reached end of file: exactly
-  /// known_rows() rows exist in `file_size` bytes.
-  void MarkRowsComplete(uint64_t file_size) EXCLUDES(mu_);
   bool rows_complete() const EXCLUDES(mu_);
-  uint64_t indexed_file_size() const EXCLUDES(mu_);
 
-  /// Offset where the next undiscovered row starts (the resume point
-  /// of an interrupted or append-extended discovery scan).
-  uint64_t next_discovery_offset() const EXCLUDES(mu_);
+  /// known_rows() when the index is complete for exactly `file_size`
+  /// bytes, else UINT64_MAX. A scan passes the size it opened the file
+  /// at: only then may it trust a short tail segment or summary (its
+  /// view may hold appended rows a complete older index lacks).
+  uint64_t CompleteRows(uint64_t file_size) const EXCLUDES(mu_);
 
   /// Moves the discovery cursor forward to `offset` on a still-empty
   /// index (skipping a header line). No-op once rows are published.
@@ -98,19 +96,22 @@ class PositionalMap {
   /// row's end, and the index is marked complete for `file_size`
   /// bytes. The parallel first-touch scan merges through this so
   /// concurrent readers never observe a half-built index. No-op when
-  /// rows were already published.
+  /// rows were already published or `generation` is stale.
   void PublishRowIndex(std::vector<uint64_t> starts, uint64_t cursor,
-                       uint64_t file_size) EXCLUDES(mu_);
+                       uint64_t file_size, uint64_t generation)
+      EXCLUDES(mu_);
 
-  /// Reopens discovery after an append: the file grew but existing
-  /// boundaries remain valid.
-  void ReopenForAppend() EXCLUDES(mu_);
+  /// Reopens discovery after an append grew the file to `file_size`
+  /// bytes (existing boundaries remain valid); the index can only be
+  /// completed again at `file_size` or beyond.
+  void ReopenForAppend(uint64_t file_size) EXCLUDES(mu_);
 
   /// Published-row snapshot of [first_row, first_row + count).
   struct RowSnapshot {
     uint32_t rows = 0;        ///< rows from first_row with known bounds
     uint64_t known_rows = 0;  ///< total published rows at snapshot time
     bool complete = false;    ///< discovery has reached end of file
+    uint64_t generation = 0;  ///< file generation the rows describe
   };
 
   /// Copies the bounds of up to `count` rows starting at `first_row`
@@ -127,11 +128,14 @@ class PositionalMap {
   /// one blocks until the calling thread holds the baton; destruction
   /// releases it. Holders alternate NeedsRow (re-check under the data
   /// lock — another holder may have published the row meanwhile) with
-  /// their own newline I/O and PublishRow.
+  /// their own newline I/O and PublishRow. A holder whose `generation`
+  /// is stale (the file was rewritten since its scan opened) publishes
+  /// nothing and is never told a row is needed.
   class SCOPED_CAPABILITY Discovery {
    public:
     /// Blocks until this thread holds the baton.
-    explicit Discovery(PositionalMap* map) ACQUIRE(map->discovery_mu_);
+    Discovery(PositionalMap* map, uint64_t generation)
+        ACQUIRE(map->discovery_mu_);
     ~Discovery() RELEASE();
     Discovery(const Discovery&) = delete;
     Discovery& operator=(const Discovery&) = delete;
@@ -149,10 +153,12 @@ class PositionalMap {
     void PublishRow(uint64_t start, uint64_t end) EXCLUDES(map_->mu_);
 
     /// The resume offset reached end of file: the index is complete.
+    /// Ignored below the size an append reopened the index at.
     void MarkComplete(uint64_t file_size) EXCLUDES(map_->mu_);
 
    private:
     PositionalMap* map_;
+    const uint64_t generation_;
   };
 
   // ------------------------------------------------------------ probe
@@ -184,6 +190,9 @@ class PositionalMap {
     /// True when every requested attribute has an exact source.
     bool fully_covered() const { return fully_covered_; }
 
+    /// The file generation the plan's chunks describe.
+    uint64_t generation() const { return generation_; }
+
    private:
     friend class PositionalMap;
     struct Source {
@@ -193,6 +202,7 @@ class PositionalMap {
       uint32_t anchor_attr = 0;
     };
     uint64_t block_first_row_ = 0;
+    uint64_t generation_ = 0;
     std::vector<Source> sources_;  // parallel to requested attrs
     uint32_t chunks_used_ = 0;
     bool fully_covered_ = false;
@@ -221,17 +231,20 @@ class PositionalMap {
    private:
     friend class PositionalMap;
     uint64_t first_row_ = 0;
+    uint64_t generation_ = 0;
     std::vector<uint32_t> attrs_;
     std::vector<uint32_t> data_;  // interleaved start,end per attr
     size_t rows_ = 0;
   };
 
   /// Starts collecting a chunk for `attrs` (sorted) at `first_row`
-  /// (a block boundary).
+  /// (a block boundary) of the given file generation.
   ChunkBuilder StartChunk(uint64_t first_row,
-                          const std::vector<uint32_t>& attrs);
+                          const std::vector<uint32_t>& attrs,
+                          uint64_t generation);
 
-  /// Installs a finished chunk and evicts LRU chunks over budget. When
+  /// Installs a finished chunk and evicts LRU chunks over budget; a
+  /// chunk of a stale generation is dropped. When
   /// a concurrent query already committed an equal-or-better chunk for
   /// the same (block, combination) — the two parsed identical bytes —
   /// the duplicate is dropped and the survivor's recency refreshed.
@@ -248,7 +261,8 @@ class PositionalMap {
   /// Fraction of known rows whose positions for `attr` are indexed.
   double CoverageFraction(uint32_t attr) const EXCLUDES(mu_);
 
-  /// Drops every chunk and the row index (file rewritten).
+  /// Drops every chunk and the row index and advances the generation
+  /// (file rewritten).
   void Clear() EXCLUDES(mu_);
 
   // ---------------------------------------------------- freeze / thaw
@@ -312,6 +326,7 @@ class PositionalMap {
   /// table-wide hierarchy).
   Mutex discovery_mu_ ACQUIRED_BEFORE(mu_);
 
+  uint64_t generation_ GUARDED_BY(mu_) = 0;
   std::vector<uint64_t> row_starts_ GUARDED_BY(mu_);
   bool rows_complete_ GUARDED_BY(mu_) = false;
   uint64_t indexed_file_size_ GUARDED_BY(mu_) = 0;

@@ -95,11 +95,12 @@ Status RawScanOperator::Open() {
   // Serving from the store needs the map: the raw residue of a hybrid
   // plan locates rows through it after a store-served block.
   serve_store_ = use_store_ && use_map_ && !projection_.empty();
-  // Snapshot the store generation *before* taking the file handle: if
-  // the file is rewritten after this point, the generation moves on
-  // and this scan's promotions are rejected rather than poisoning the
-  // cleared store with old-file segments.
-  store_generation_ = state_->store().generation();
+  // Snapshot the generations *before* taking the file handle: if the
+  // file is rewritten after this point, they move on and this scan's
+  // publications are dropped rather than poisoning the cleared
+  // structures with old-file rows, chunks and segments.
+  segment_generation_ = state_->segments().generation();
+  map_generation_ = state_->map().generation();
   // Zone maps follow the same discipline: collect summaries whenever
   // the config asks for them, but prune blocks only when predicates
   // were pushed and the map can resume the scan at the next block.
@@ -198,10 +199,6 @@ Status RawScanOperator::Open() {
   window_first_ = 0;
   window_rows_ = 0;
   window_bounds_.clear();
-  store_block_ = false;
-  store_tail_ = false;
-  store_until_row_ = 0;
-  store_segments_.clear();
   block_has_building_ = false;
   attr_states_.clear();
   attr_states_.resize(projection_.size());
@@ -223,6 +220,8 @@ Status RawScanOperator::Open() {
     state_->map().EnsureDiscoveryStartsAt(header_skip_);
   }
   local_offset_ = header_skip_;
+  next_row_ = 0;
+  next_offset_ = header_skip_;
 
   if (!internal_) state_->RecordAttributeAccess(projection_);
 
@@ -263,6 +262,8 @@ Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
       size_t i = static_cast<size_t>(row - window_first_);
       *start = window_bounds_[i];
       *end = window_bounds_[i + 1] - 1;
+      next_row_ = row + 1;
+      next_offset_ = window_bounds_[i + 1];
       return true;
     }
 
@@ -275,6 +276,9 @@ Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
         map.SnapshotRows(row, remaining, &window_bounds_);
     window_first_ = row;
     window_rows_ = snap.rows;
+    if (snap.generation != map_generation_) {
+      return LocateStaleRow(row, start, end);
+    }
     if (snap.rows > 0) continue;
     if (snap.complete && row >= snap.known_rows) return false;
 
@@ -283,13 +287,16 @@ Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
     // the bounds land in the local window, so a cold sequential scan
     // pays one baton acquisition per block, not per row. Other threads
     // block here only for rows nobody has walked yet.
-    PositionalMap::Discovery discovery(&map);
+    PositionalMap::Discovery discovery(&map, map_generation_);
     uint64_t resume = 0;
     uint64_t frontier_row = 0;
     while (discovery.NeedsRow(row, &resume, &frontier_row)) {
       if (resume >= file_size) {
+        // End of the file as this scan opened it. (An append since
+        // then reopened the index at a larger size, which ignores
+        // this mark; later scans see the new rows.)
         discovery.MarkComplete(file_size);
-        break;
+        return false;
       }
       const uint64_t block_end =
           (row / rows_per_block + 1) * uint64_t{rows_per_block};
@@ -319,8 +326,21 @@ Result<bool> RawScanOperator::LocateRow(uint64_t row, uint64_t* start,
       // File ended before reaching `row`; NeedsRow decides next.
     }
     // Another thread published past `row`, the window was walked, or
-    // the file ended; loop to serve or finish.
+    // the file was rewritten; loop to serve or finish.
   }
+}
+
+Result<bool> RawScanOperator::LocateStaleRow(uint64_t row, uint64_t* start,
+                                             uint64_t* end) {
+  if (row != next_row_) {
+    return Status::IOError(table_name_ + ": raw file " + table_path_ +
+                           " was rewritten during the scan");
+  }
+  use_map_ = false;
+  serve_store_ = false;
+  skip_zones_ = false;
+  local_offset_ = next_offset_;
+  return LocateRow(row, start, end);
 }
 
 void RawScanOperator::MaybeObserveZone(uint32_t attr, uint64_t block,
@@ -333,19 +353,47 @@ void RawScanOperator::MaybeObserveZone(uint32_t attr, uint64_t block,
   state_->zones().Observe(attr, block, segment, zone_generation_);
 }
 
+std::shared_ptr<const ColumnVector> RawScanOperator::LookupSegment(
+    uint32_t attr, uint64_t block) {
+  if (!use_cache_ && !use_store_) return nullptr;
+  SegmentClass cls = SegmentClass::kProbationary;
+  auto seg = state_->segments().Get(attr, block, segment_generation_, &cls);
+  if (seg != nullptr &&
+      (use_cache_ || (use_store_ && cls == SegmentClass::kProtected)) &&
+      SegmentCoversBlock(seg->size(), block)) {
+    ++metrics_->cache_block_hits;
+    return seg;
+  }
+  ++metrics_->cache_block_misses;
+  return nullptr;
+}
+
+void RawScanOperator::InsertSegment(
+    uint32_t attr, uint64_t block,
+    std::shared_ptr<const ColumnVector> segment, bool hot) {
+  const bool promote = hot && SegmentCoversBlock(segment->size(), block);
+  if (!promote && !use_cache_) return;
+  state_->segments().Put(
+      attr, block, std::move(segment),
+      promote ? SegmentClass::kProtected : SegmentClass::kProbationary,
+      segment_generation_);
+}
+
 bool RawScanOperator::SegmentCoversBlock(size_t segment_rows,
                                          uint64_t block) const {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   if (segment_rows >= rows_per_block) return true;
-  if (use_map_ && state_->map().rows_complete()) {
-    uint64_t known = state_->map().known_rows();
-    uint64_t first = block * uint64_t{rows_per_block};
-    uint64_t expected =
-        first >= known ? 0
-                       : std::min<uint64_t>(rows_per_block, known - first);
-    return segment_rows >= expected;
-  }
-  return false;
+  const uint64_t known = CompleteRows();
+  if (known == UINT64_MAX) return false;
+  const uint64_t first = block * uint64_t{rows_per_block};
+  const uint64_t expected =
+      first >= known ? 0 : std::min<uint64_t>(rows_per_block, known - first);
+  return segment_rows >= expected;
+}
+
+uint64_t RawScanOperator::CompleteRows() const {
+  return use_map_ ? state_->map().CompleteRows(reader_->file_size())
+                  : UINT64_MAX;
 }
 
 Status RawScanOperator::EnterBlock(uint64_t row) {
@@ -355,11 +403,10 @@ Status RawScanOperator::EnterBlock(uint64_t row) {
   const uint32_t rows_per_block = config.rows_per_block;
   current_block_ = row / rows_per_block;
   block_first_row_ = current_block_ * rows_per_block;
-  store_block_ = false;
   block_has_building_ = false;
 
-  // Resolve cache residency per attribute. A segment counts only when
-  // it provably covers the whole block (partial tail segments are
+  // Resolve segment residency per attribute. A segment counts only
+  // when it provably covers the whole block (partial tail segments are
   // rebuilt — bounded by one block of work).
   PositionalMap& map = state_->map();
 
@@ -367,27 +414,18 @@ Status RawScanOperator::EnterBlock(uint64_t row) {
   probe_slot_.clear();
   for (size_t i = 0; i < attr_states_.size(); ++i) {
     AttrState& st = attr_states_[i];
-    st.cached.reset();
     st.building.reset();
-    bool promote = use_store_ && promote_attr_[i] &&
-                   !state_->store().Contains(st.attr, current_block_);
-    if (use_cache_) {
-      auto seg = state_->cache().Get(st.attr, current_block_);
-      if (seg != nullptr && SegmentCoversBlock(seg->size(), current_block_)) {
-        st.cached = std::move(seg);
-        ++metrics_->cache_block_hits;
-        continue;
-      }
-      ++metrics_->cache_block_misses;
-    }
+    st.cached = LookupSegment(st.attr, current_block_);
+    if (st.cached != nullptr) continue;
     probe_attrs.push_back(st.attr);
     probe_slot_.push_back(i);
-    // Zone maps piggyback on the same full-block segments the cache
-    // and statistics build; a missing summary is worth one block of
-    // accumulation even when those components are off.
+    // Zone maps piggyback on the same full-block segments the segment
+    // store and statistics build; a missing summary is worth one block
+    // of accumulation even when those components are off.
     bool want_zone = collect_zones_ && ZoneEligibleType(st.type) &&
                      !state_->zones().Contains(st.attr, current_block_);
-    if (use_cache_ || use_stats_ || promote || want_zone) {
+    bool hot = use_store_ && promote_attr_[i];
+    if (use_cache_ || use_stats_ || hot || want_zone) {
       st.building = std::make_unique<ColumnVector>(st.type);
       st.building->Reserve(rows_per_block);
       block_has_building_ = true;
@@ -400,9 +438,12 @@ Status RawScanOperator::EnterBlock(uint64_t row) {
   if (use_map_ && !probe_attrs.empty()) {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
     block_plan_ = map.PrepareBlock(block_first_row_, probe_attrs);
-    if (map.ShouldIndexCombination(*block_plan_)) {
+    if (block_plan_->generation() != map_generation_) {
+      block_plan_.reset();  // chunks of a rewritten file: tokenize blind
+    } else if (map.ShouldIndexCombination(*block_plan_)) {
       chunk_attrs_ = probe_attrs;
-      chunk_builder_ = map.StartChunk(block_first_row_, chunk_attrs_);
+      chunk_builder_ =
+          map.StartChunk(block_first_row_, chunk_attrs_, map_generation_);
     }
   }
 
@@ -427,20 +468,16 @@ Status RawScanOperator::CommitBlock() {
   }
   for (size_t i = 0; i < attr_states_.size(); ++i) {
     AttrState& st = attr_states_[i];
-    bool promote = use_store_ && promote_attr_[i];
+    const bool hot = use_store_ && promote_attr_[i];
     if (st.building == nullptr || st.building->size() == 0) {
       st.building.reset();
-      // Piggybacked promotion from the cache: the segment that served
-      // this block is already fully parsed — hand it to the store
-      // instead of re-parsing later. Zone maps summarize it the same
-      // way.
+      // Piggybacked promotion of the segment that served this block:
+      // it is already fully parsed, so promoting it is a class change
+      // (a no-op when it is protected already). Zone maps summarize it
+      // the same way.
       if (st.cached != nullptr) {
         MaybeObserveZone(st.attr, current_block_, *st.cached);
-        if (promote &&
-            SegmentCoversBlock(st.cached->size(), current_block_)) {
-          state_->store().Promote(st.attr, current_block_, st.cached,
-                                  store_generation_);
-        }
+        if (hot) InsertSegment(st.attr, current_block_, st.cached, true);
       }
       continue;
     }
@@ -449,121 +486,30 @@ Status RawScanOperator::CommitBlock() {
     if (use_stats_) {
       state_->stats().ObserveBlock(st.attr, current_block_, *segment);
     }
-    if (use_cache_) {
-      state_->cache().Put(st.attr, current_block_, segment);
-    }
-    // Piggybacked promotion of the segment this scan just parsed;
-    // admitted only when it provably covers the whole block (a scan
-    // abandoned mid-block leaves nothing half-promoted).
-    if (promote && SegmentCoversBlock(segment->size(), current_block_)) {
-      state_->store().Promote(st.attr, current_block_, segment,
-                              store_generation_);
-    }
+    InsertSegment(st.attr, current_block_, std::move(segment), hot);
   }
   return Status::OK();
-}
-
-bool RawScanOperator::FetchStoreBlock(uint64_t block, size_t* rows) {
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  const uint64_t first = block * uint64_t{rows_per_block};
-  {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    if (!state_->store().GetBlock(projection_, block, &store_segments_)) {
-      return false;
-    }
-  }
-  // Serve-time validation. A short segment claims to be the file's
-  // tail, which would end the scan at its last row — so it must match
-  // the completed row index *right now*; and all attributes of the
-  // block must agree on its row count. A stale segment (e.g. a
-  // pre-append tail committed by a racing promotion) fails these, is
-  // evicted, and the block re-parses through the raw path.
-  *rows = store_segments_[0]->size();
-  bool aligned = true;
-  for (const auto& seg : store_segments_) {
-    aligned = aligned && seg->size() == *rows;
-  }
-  if (!aligned ||
-      (*rows < rows_per_block &&
-       (!state_->map().rows_complete() ||
-        first + *rows != state_->map().known_rows()))) {
-    state_->store().DropBlock(block);
-    store_segments_.clear();
-    return false;
-  }
-  return true;
-}
-
-Result<bool> RawScanOperator::TryEnterStoreBlock(uint64_t row) {
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  const uint64_t block = row / rows_per_block;
-  size_t rows = 0;
-  if (!FetchStoreBlock(block, &rows)) return false;
-  NODB_RETURN_NOT_OK(CommitBlock());
-  // Store-served blocks summarize into the zone maps too: the
-  // segments are fully parsed, so the pass is one cheap scan.
-  {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    for (size_t i = 0; i < store_segments_.size(); ++i) {
-      MaybeObserveZone(projection_[i], block, *store_segments_[i]);
-    }
-  }
-  current_block_ = block;
-  block_first_row_ = block * uint64_t{rows_per_block};
-  block_plan_.reset();
-  chunk_builder_.reset();
-  chunk_attrs_.clear();
-  probe_attrs_.clear();
-  probe_slot_.clear();
-  for (AttrState& st : attr_states_) {
-    st.cached.reset();
-    st.building.reset();
-  }
-  block_has_building_ = false;
-  store_block_ = true;
-  store_tail_ = rows < rows_per_block;  // only the file's last block may
-  store_until_row_ = block_first_row_ + rows;
-  ++metrics_->store_block_hits;
-  return true;
 }
 
 Result<BatchPtr> RawScanOperator::Next() {
   if (!predicates_.empty()) return NextPushdown();
   if (exhausted_) return BatchPtr();
 
-  auto out = std::make_shared<RecordBatch>(schema_);
   const uint32_t rows_per_block = state_->config().rows_per_block;
+  if (serve_store_ && row_ % rows_per_block == 0) {
+    BatchPtr staged;
+    NODB_ASSIGN_OR_RETURN(bool served,
+                          ServeStoreBlock(row_ / rows_per_block, &staged));
+    if (served) return staged;
+  }
+
+  auto out = std::make_shared<RecordBatch>(schema_);
   size_t emitted = 0;
   Slice line;
 
   while (emitted < RecordBatch::kDefaultBatchRows) {
-    // ---- store fast path: the current block is fully materialized —
-    // rows come straight out of the promoted segments, with no row
-    // location, map lookup, tokenizing or parsing.
-    if (store_block_) {
-      if (row_ < store_until_row_) {
-        size_t rel = static_cast<size_t>(row_ - block_first_row_);
-        for (size_t i = 0; i < store_segments_.size(); ++i) {
-          out->column(i).AppendFrom(*store_segments_[i], rel);
-        }
-        ++metrics_->rows_scanned;
-        ++metrics_->rows_from_store;
-        ++row_;
-        ++emitted;
-        continue;
-      }
-      store_block_ = false;
-      if (store_tail_) {
-        // The served block was the file's known tail: end of scan.
-        exhausted_ = true;
-        current_block_ = UINT64_MAX;
-        break;
-      }
-    }
-    if (serve_store_ && row_ / rows_per_block != current_block_) {
-      NODB_ASSIGN_OR_RETURN(bool served, TryEnterStoreBlock(row_));
-      if (served) continue;
-    }
+    // A batch ends at a block boundary the store might serve whole.
+    if (serve_store_ && emitted > 0 && row_ % rows_per_block == 0) break;
 
     uint64_t start = 0;
     uint64_t end = 0;
@@ -628,7 +574,7 @@ Result<BatchPtr> RawScanOperator::Next() {
       }
     }
 
-    // ---- NoDB side effects: teach the map, grow the cache segments.
+    // ---- NoDB side effects: teach the map, grow the block segments.
     if (!probe_attrs_.empty() &&
         (chunk_builder_.has_value() || block_has_building_)) {
       PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
@@ -645,9 +591,9 @@ Result<BatchPtr> RawScanOperator::Next() {
       }
     }
 
-    // Tier attribution: a row whose every needed column came from the
-    // cache never touched the raw bytes (empty projections count here
-    // too); anything tokenized or parsed is a raw-tier row.
+    // Tier attribution: a row whose every needed column came from a
+    // resident segment never touched the raw bytes (empty projections
+    // count here too); anything tokenized or parsed is a raw-tier row.
     if (probe_attrs_.empty()) {
       ++metrics_->rows_from_cache;
     } else {
@@ -715,8 +661,7 @@ Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
 
   if (serve_store_) {
     BatchPtr staged;
-    NODB_ASSIGN_OR_RETURN(bool served,
-                          TryPushdownStoreBlock(block, &staged));
+    NODB_ASSIGN_OR_RETURN(bool served, ServeStoreBlock(block, &staged));
     if (served) return staged;
   }
 
@@ -728,6 +673,8 @@ bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
   const ZoneMaps& zones = state_->zones();
+  // Summaries of a file rewritten since Open say nothing about ours.
+  if (zones.generation() != zone_generation_) return false;
   for (const ZonePredicate& zp : zone_preds_) {
     std::optional<ZoneMaps::Entry> entry = zones.Get(zp.attr, block);
     if (!entry.has_value()) continue;
@@ -740,9 +687,7 @@ bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
     // block, or the tail of the currently-complete row index. (Append
     // truncation and generation tagging make stale entries disappear,
     // but serve-time validation keeps even a racing one harmless.)
-    if (e.rows < rows_per_block &&
-        (!state_->map().rows_complete() ||
-         first + e.rows != state_->map().known_rows())) {
+    if (e.rows < rows_per_block && first + e.rows != CompleteRows()) {
       continue;
     }
     bool disjoint =
@@ -757,27 +702,52 @@ bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
   return false;
 }
 
-Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
-                                                    BatchPtr* staged) {
+Result<bool> RawScanOperator::ServeStoreBlock(uint64_t block,
+                                              BatchPtr* staged) {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
-  size_t rows = 0;
-  if (!FetchStoreBlock(block, &rows)) return false;
+  std::vector<std::shared_ptr<const ColumnVector>> segments;
+  {
+    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
+    if (!state_->segments().GetProtectedBlock(
+            projection_, block, segment_generation_, &segments)) {
+      return false;
+    }
+  }
+  // Serve-time validation. A short segment claims to be the file's
+  // tail, which would end the scan at its last row — so it must match
+  // the completed row index *right now*; and all attributes of the
+  // block must agree on its row count. A stale segment (e.g. a
+  // pre-append tail committed by a racing promotion) fails these, is
+  // evicted, and the block re-parses through the raw path.
+  const size_t rows = segments[0]->size();
+  bool aligned = true;
+  for (const auto& seg : segments) aligned = aligned && seg->size() == rows;
+  if (!aligned || (rows < rows_per_block && first + rows != CompleteRows())) {
+    // Rewrites need no check here: the generation fence already made
+    // the probe miss.
+    state_->segments().DropBlocks(block, block + 1);
+    return false;
+  }
+  // The row path may have a raw block pending: commit it first.
+  NODB_RETURN_NOT_OK(CommitBlock());
+  current_block_ = UINT64_MAX;
 
   // The store's fully parsed segments are the cheapest zone-map
   // source there is — summarize any block the maps do not know yet.
   {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    for (size_t c = 0; c < store_segments_.size(); ++c) {
-      MaybeObserveZone(projection_[c], block, *store_segments_[c]);
+    for (size_t c = 0; c < segments.size(); ++c) {
+      MaybeObserveZone(projection_[c], block, *segments[c]);
     }
   }
 
-  // Vectorize the pushed conjuncts straight over the promoted segments
-  // (a read-only batch view; segments are immutable, shared-owned).
+  // Vectorize the pushed conjuncts (if any) straight over the promoted
+  // segments (a read-only batch view; segments are immutable,
+  // shared-owned).
   std::vector<std::shared_ptr<ColumnVector>> view;
-  view.reserve(store_segments_.size());
-  for (const auto& seg : store_segments_) {
+  view.reserve(segments.size());
+  for (const auto& seg : segments) {
     view.push_back(std::const_pointer_cast<ColumnVector>(seg));
   }
   auto probe = std::make_shared<RecordBatch>(schema_, std::move(view),
@@ -788,16 +758,16 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
   BatchPtr out;
   if (passing == rows) {
     // Every row passes: hand the view out as-is — the store tier's
-    // zero-copy serving survives pushdown.
+    // zero-copy serving.
     out = std::move(probe);
   } else {
     out = std::make_shared<RecordBatch>(schema_);
     if (passing > 0) {
-      for (size_t c = 0; c < store_segments_.size(); ++c) {
+      for (size_t c = 0; c < segments.size(); ++c) {
         ColumnVector& dst = out->column(c);
         dst.Reserve(passing);
         for (size_t r = 0; r < rows; ++r) {
-          if (pd_pass_[r]) dst.AppendFrom(*store_segments_[c], r);
+          if (pd_pass_[r]) dst.AppendFrom(*segments[c], r);
         }
       }
       out->SetNumRows(passing);
@@ -807,7 +777,6 @@ Result<bool> RawScanOperator::TryPushdownStoreBlock(uint64_t block,
   metrics_->rows_scanned += rows;
   metrics_->rows_from_store += rows;
   metrics_->pushdown_rows_pruned += rows - passing;
-  store_segments_.clear();
   row_ = first + rows;
   if (rows < rows_per_block) exhausted_ = true;  // validated tail
   *staged = std::move(out);
@@ -898,7 +867,7 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   const uint64_t first = block * uint64_t{rows_per_block};
   PositionalMap& map = state_->map();
 
-  // ---- resolve cache residency and split the probes into phases:
+  // ---- resolve segment residency and split the probes into phases:
   // predicate columns parse for every row (phase 1), the rest only for
   // qualifying rows (phase 2).
   const size_t n_slots = projection_.size();
@@ -909,15 +878,8 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   std::vector<size_t> p1_idx, p2_idx;  // indices into probe_attrs
   for (size_t i = 0; i < n_slots; ++i) {
     uint32_t attr = projection_[i];
-    if (use_cache_) {
-      auto seg = state_->cache().Get(attr, block);
-      if (seg != nullptr && SegmentCoversBlock(seg->size(), block)) {
-        cached[i] = std::move(seg);
-        ++metrics_->cache_block_hits;
-        continue;
-      }
-      ++metrics_->cache_block_misses;
-    }
+    cached[i] = LookupSegment(attr, block);
+    if (cached[i] != nullptr) continue;
     if (pred_slot_[i]) {
       p1_idx.push_back(probe_attrs.size());
       built[i] = std::make_shared<ColumnVector>(attr_states_[i].type);
@@ -937,11 +899,13 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
     // The distance policy still decides per combination, but only the
     // phase-1 columns have spans for every row of the block — the
     // chunk records exactly those.
-    if (!p1_idx.empty() && map.ShouldIndexCombination(*plan)) {
+    if (plan->generation() != map_generation_) {
+      plan.reset();  // chunks of a rewritten file: tokenize blind
+    } else if (!p1_idx.empty() && map.ShouldIndexCombination(*plan)) {
       std::vector<uint32_t> chunk_attrs;
       chunk_attrs.reserve(p1_idx.size());
       for (size_t j : p1_idx) chunk_attrs.push_back(probe_attrs[j]);
-      chunk = map.StartChunk(first, chunk_attrs);
+      chunk = map.StartChunk(first, chunk_attrs, map_generation_);
     }
   }
 
@@ -1076,9 +1040,9 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   }
 
   // ---- side effects: phase-1 columns covered the whole block, so
-  // they feed the map, cache, statistics, zone maps and promotion
-  // exactly like a predicate-free scan's segments; phase-2 columns
-  // were only parsed for qualifying rows and teach nothing.
+  // they feed the map, segment store, statistics and zone maps exactly
+  // like a predicate-free scan's segments; phase-2 columns were only
+  // parsed for qualifying rows and teach nothing.
   {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
     if (chunk.has_value() && chunk->rows() > 0) {
@@ -1086,26 +1050,16 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
     }
     for (size_t i = 0; i < n_slots; ++i) {
       uint32_t attr = projection_[i];
-      bool promote = use_store_ && promote_attr_[i] &&
-                     !state_->store().Contains(attr, block);
+      const bool hot = use_store_ && promote_attr_[i];
       if (built[i] != nullptr) {
         MaybeObserveZone(attr, block, *built[i]);
         if (use_stats_) {
           state_->stats().ObserveBlock(attr, block, *built[i]);
         }
-        if (use_cache_) {
-          state_->cache().Put(attr, block, built[i]);
-        }
-        if (promote && SegmentCoversBlock(built[i]->size(), block)) {
-          state_->store().Promote(attr, block, built[i],
-                                  store_generation_);
-        }
+        InsertSegment(attr, block, built[i], hot);
       } else if (cached[i] != nullptr) {
         MaybeObserveZone(attr, block, *cached[i]);
-        if (promote) {
-          state_->store().Promote(attr, block, cached[i],
-                                  store_generation_);
-        }
+        if (hot) InsertSegment(attr, block, cached[i], true);
       }
     }
   }

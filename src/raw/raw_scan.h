@@ -21,8 +21,8 @@ namespace nodb {
 ///   1. locates the tuple's byte range (from the positional map's row
 ///      index when known, otherwise by scanning for the newline and
 ///      teaching the map);
-///   2. serves each requested attribute from the binary cache when the
-///      block segment is resident;
+///   2. serves each requested attribute from the segment store when the
+///      block segment is resident (in either class);
 ///   3. otherwise finds the attribute's span: exactly from a positional
 ///      map chunk, or by tokenizing from the nearest map anchor — never
 ///      past the last requested attribute (*selective tokenizing*);
@@ -31,15 +31,16 @@ namespace nodb {
 ///      (*selective tuple formation* together with the columnar
 ///      filter);
 ///   5. as side effects populates the map (per the distance policy),
-///      the cache and the statistics for the touched blocks — and,
-///      for attributes whose access heat crossed the promotion
-///      threshold, hands the fully parsed (or cache-resident) block
-///      segments to the shadow column store (piggybacked promotion:
-///      the scan that parsed a hot column pays for it exactly once).
+///      the segment store and the statistics for the touched blocks:
+///      one insert per (attribute, block), probationary — or, for
+///      attributes whose access heat crossed the promotion threshold,
+///      protected (piggybacked promotion: the scan that parsed a hot
+///      column pays for it exactly once; a resident probationary
+///      segment is promoted in place).
 ///
 /// The scan builds a **hybrid block plan**: blocks all of whose needed
-/// columns are already materialized in the shadow store are emitted
-/// straight from the store — no row location, no positional-map
+/// columns are protected in the segment store are emitted whole, as
+/// zero-copy views of the segments — no row location, no positional-map
 /// lookup, no tokenizing, no value parsing — while the remaining
 /// blocks take the raw/cache path above, and the two interleave
 /// freely. Results are byte-identical either way. Store serving
@@ -49,6 +50,11 @@ namespace nodb {
 /// All NoDB structures honor the per-table NoDbConfig; with everything
 /// disabled this operator *is* the paper's "Baseline" external-files
 /// scan.
+///
+/// A scan snapshots the map's and segment store's generations at Open.
+/// If the file is rewritten under it, its publications are dropped,
+/// its lookups miss, and it finishes its own query from its own handle
+/// on the old file (see LocateStaleRow).
 ///
 /// Many operators may scan the same RawTableState concurrently. Each
 /// operator keeps all parsing state private and interacts with the
@@ -94,12 +100,29 @@ class RawScanOperator final : public ExecOperator {
     uint32_t attr = 0;
     DataType type = DataType::kInt64;
     std::shared_ptr<const ColumnVector> cached;  // resident segment
-    std::unique_ptr<ColumnVector> building;      // cache/stats segment
+    std::unique_ptr<ColumnVector> building;      // segment/stats segment
   };
 
   Status EnterBlock(uint64_t row);
   Status CommitBlock();
   Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
+
+  /// The file was rewritten since Open: locates rows privately (as with
+  /// the map off) on this scan's handle from the end of the last row it
+  /// located; after a jump (a served or skipped block) that end is
+  /// unknown and the scan fails with an IOError.
+  Result<bool> LocateStaleRow(uint64_t row, uint64_t* start, uint64_t* end);
+
+  /// The one lookup per (attr, block): a resident segment that provably
+  /// covers the block (with the cache off, only a protected one, with
+  /// the store on), or nullptr. Counts a cache block hit or miss.
+  std::shared_ptr<const ColumnVector> LookupSegment(uint32_t attr,
+                                                    uint64_t block);
+
+  /// The one insert per (attr, block): protected when `hot` and the
+  /// segment provably covers the block, else probationary (cache on).
+  void InsertSegment(uint32_t attr, uint64_t block,
+                     std::shared_ptr<const ColumnVector> segment, bool hot);
 
   /// A pushed `col op literal` conjunct in zone-checkable form.
   struct ZonePredicate {
@@ -118,8 +141,15 @@ class RawScanOperator final : public ExecOperator {
   Result<BatchPtr> NextPushdown();
   Result<BatchPtr> ProcessPushdownBlock();
   bool ZoneSkipsBlock(uint64_t block, uint64_t* rows_in_block) const;
-  Result<bool> TryPushdownStoreBlock(uint64_t block, BatchPtr* staged);
   Result<BatchPtr> PushdownRawBlock(uint64_t block);
+
+  /// Both paths: serves `block` whole as a zero-copy view of its
+  /// protected segments, filtered by the pushed conjuncts if any, after
+  /// the serve-time validation: all attributes must agree on the row
+  /// count, and a short segment must match the completed row index
+  /// *right now* (a stale pre-append tail fails, is evicted, and the
+  /// block re-parses raw). False when the block is not served.
+  Result<bool> ServeStoreBlock(uint64_t block, BatchPtr* staged);
 
   /// Evaluates every pushed conjunct over `batch`, folding SQL
   /// three-valued logic to keep/drop (NULL drops). Fills `pass`
@@ -139,30 +169,22 @@ class RawScanOperator final : public ExecOperator {
                        uint32_t* ends, bool count_blind);
 
   /// True when `segment_rows` provably covers the whole of `block`
-  /// (full block, or the known tail of a completed row index) — the
-  /// admission rule shared by cache residency and store promotion.
+  /// (full block, or the tail of the row index complete for the file
+  /// as this scan opened it) — the rule shared by serving a resident
+  /// segment and promoting one.
   bool SegmentCoversBlock(size_t segment_rows, uint64_t block) const;
+
+  /// PositionalMap::CompleteRows for the file as this scan opened it
+  /// (UINT64_MAX without the map).
+  uint64_t CompleteRows() const;
 
   /// The one zone-map admission path for this scan: installs a summary
   /// for (attr, block) iff collection is on, the attribute's payload
   /// is summarizable, `segment` provably covers the block, and no
-  /// entry exists yet. Safe to call with any parsed segment — cache,
-  /// store or freshly built.
+  /// entry exists yet. Safe to call with any parsed segment — resident
+  /// or freshly built.
   void MaybeObserveZone(uint32_t attr, uint64_t block,
                         const ColumnVector& segment);
-
-  /// Fetches `block`'s promoted segments into store_segments_ and runs
-  /// the serve-time validation shared by both store paths: all
-  /// attributes must agree on the row count, and a short segment must
-  /// match the completed row index *right now* (a stale pre-append
-  /// tail fails, is evicted, and the block re-parses raw). False when
-  /// the block is absent or stale; `*rows` is its row count on success.
-  bool FetchStoreBlock(uint64_t block, size_t* rows);
-
-  /// Tries to serve the block containing `row` (a block boundary)
-  /// entirely from the shadow store. On success commits the previous
-  /// block and arms the store fast path.
-  Result<bool> TryEnterStoreBlock(uint64_t row);
 
   RawTableState* state_;
   std::vector<uint32_t> projection_;
@@ -183,8 +205,9 @@ class RawScanOperator final : public ExecOperator {
   bool serve_store_ = false;  // store fast path enabled (needs the map)
   bool collect_zones_ = false;  // summarize full blocks into zone maps
   bool skip_zones_ = false;     // prune blocks via zone maps (needs map)
-  uint64_t store_generation_ = 0;  // file generation this scan parses
-  uint64_t zone_generation_ = 0;   // ditto, for zone-map observation
+  uint64_t segment_generation_ = 0;  // file generation this scan parses
+  uint64_t map_generation_ = 0;      // ditto, for the positional map
+  uint64_t zone_generation_ = 0;     // ditto, for the zone maps
 
   // Predicate pushdown (empty = legacy row-at-a-time path).
   std::vector<ExprPtr> predicates_;
@@ -193,6 +216,8 @@ class RawScanOperator final : public ExecOperator {
 
   uint64_t row_ = 0;
   uint64_t local_offset_ = 0;  // discovery cursor when the map is off
+  uint64_t next_row_ = 0;      // row after the last one located...
+  uint64_t next_offset_ = 0;   // ...and where it starts
   bool exhausted_ = false;
   uint64_t header_skip_ = 0;   // bytes of header line (has_header files)
 
@@ -203,12 +228,6 @@ class RawScanOperator final : public ExecOperator {
   uint32_t window_rows_ = 0;
   std::vector<uint64_t> window_bounds_;
 
-  // Store fast path: rows [block_first_row_, store_until_row_) are
-  // emitted straight from store_segments_ (parallel to projection_).
-  bool store_block_ = false;
-  bool store_tail_ = false;  // served block is the file's last
-  uint64_t store_until_row_ = 0;
-  std::vector<std::shared_ptr<const ColumnVector>> store_segments_;
   std::vector<bool> promote_attr_;  // projection slot is promotion-hot
 
   // Current block state.
@@ -218,7 +237,7 @@ class RawScanOperator final : public ExecOperator {
   std::vector<AttrState> attr_states_;
   std::optional<PositionalMap::BlockPlan> block_plan_;
   std::optional<PositionalMap::ChunkBuilder> chunk_builder_;
-  std::vector<uint32_t> probe_attrs_;  // attrs not served by the cache
+  std::vector<uint32_t> probe_attrs_;  // attrs not served by a segment
   std::vector<size_t> probe_slot_;     // probe j -> attr_states_ index
   std::vector<size_t> probe_identity_;  // 0..n-1, TokenizeSpans subset
   std::vector<uint32_t> chunk_attrs_;  // attrs recorded in the builder

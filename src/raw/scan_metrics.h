@@ -40,13 +40,13 @@ struct ScanMetrics {
   uint64_t map_anchor_probes = 0;  ///< partial help: jumped mid-tuple
   uint64_t map_blind_rows = 0;     ///< tokenized from byte 0 of the row
 
-  /// Storage-tier attribution: every scanned row lands in exactly one
-  /// bucket. `rows_from_store`: all needed columns came from a shadow-
-  /// store block (no row location, tokenizing or parsing at all).
-  /// `rows_from_cache`: every needed column was a RawCache segment hit
-  /// (rows located, nothing tokenized; includes empty projections).
-  /// `rows_from_raw`: at least one column was tokenized/parsed from
-  /// the raw bytes.
+  /// Storage-tier attribution by segment class: every scanned row lands
+  /// in exactly one bucket. `rows_from_store`: every needed column was
+  /// protected, and the block was served whole (no row location,
+  /// tokenizing or parsing at all). `rows_from_cache`: otherwise, every
+  /// needed column was resident in either class (rows located, nothing
+  /// tokenized; includes empty projections). `rows_from_raw`: at least
+  /// one column was tokenized/parsed from the raw bytes.
   uint64_t store_block_hits = 0;   ///< whole blocks served by the store
   uint64_t rows_from_store = 0;
   uint64_t rows_from_cache = 0;

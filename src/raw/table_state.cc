@@ -10,9 +10,8 @@ RawTableState::RawTableState(RawTableInfo info, const NoDbConfig& config)
       access_counts_(info_.schema->num_fields(), 0),
       map_(config.positional_map_budget, config.rows_per_block,
            config.max_covering_chunks),
-      cache_(config.cache_budget),
-      stats_(info_.schema),
-      store_(config.store_budget) {}
+      segments_(config.cache_budget, config.store_budget),
+      stats_(info_.schema) {}
 
 Status RawTableState::Open() {
   MutexLock lock(mu_);
@@ -49,16 +48,17 @@ Result<FileChange> RawTableState::CheckForUpdates() {
     }
     if (clean_append) {
       // The block containing the old frontier is about to gain rows:
-      // its promoted store segments no longer cover the whole block.
-      // Earlier full blocks keep their promotion (the tail is
-      // re-promoted by heat once re-scanned). Reopen discovery first —
-      // tail admission requires a complete row index, so a concurrent
-      // scan cannot re-promote the stale tail after the drop.
-      map_.ReopenForAppend();
+      // its segments no longer cover the whole block; earlier full
+      // blocks keep theirs. Reopen discovery first, at the new size —
+      // tail promotion requires a complete row index, which a scan
+      // opened before the append cannot re-complete at the old size.
+      NODB_ASSIGN_OR_RETURN(uint64_t new_size, file_->Size());
+      map_.ReopenForAppend(new_size);
       // No generation bump: surviving blocks stay valid, and stale
       // producers racing the drop are fenced by serve-time tail
       // re-validation against the live row index.
-      store_.DropBlocksFrom(map_.known_rows() / config_.rows_per_block);
+      segments_.DropBlocks(map_.known_rows() / config_.rows_per_block,
+                           UINT64_MAX);
       // The zone maps truncate exactly like the store: the frontier
       // block's summary no longer covers it, earlier full blocks stay
       // (fenced the same way — tail re-validation, not generations).
@@ -154,11 +154,6 @@ void RawTableState::EndPromotion(bool completed) {
   staged_hot_.clear();
 }
 
-bool RawTableState::promotion_in_flight() const {
-  MutexLock lock(mu_);
-  return promotion_in_flight_;
-}
-
 FileSignature RawTableState::signature() const {
   MutexLock lock(mu_);
   return signature_;
@@ -169,7 +164,7 @@ persist::AdaptiveImage RawTableState::Freeze() const {
   image.map = map_.ExportImage();
   image.stats = stats_.ExportImage();
   image.zones = zones_.ExportImage();
-  image.store = store_.ExportImage();
+  image.store = segments_.ExportImage();
   return image;
 }
 
@@ -202,11 +197,9 @@ persist::RecoveryReport RawTableState::Thaw(persist::AdaptiveImage image,
   if (image.zones.has_value() &&
       zones_.ImportImage(std::move(*image.zones))) {
     report.zones_recovered = true;
-    report.zone_entries_recovered = zones_.num_entries();
   }
-  if (image.store.has_value() && store_.ImportImage(*image.store)) {
+  if (image.store.has_value() && segments_.ImportImage(*image.store)) {
     report.store_recovered = true;
-    report.store_segments_recovered = store_.num_segments();
   }
 
   if (change == FileChange::kAppended && report.map_recovered) {
@@ -226,14 +219,15 @@ persist::RecoveryReport RawTableState::Thaw(persist::AdaptiveImage image,
     // No generation bump here either: the thawed blocks below the
     // frontier are valid, and the serve-time tail re-validation fences
     // the one possibly-stale frontier block (see comment above).
-    store_.DropBlocksFrom(frontier);
+    segments_.DropBlocks(frontier, UINT64_MAX);
     zones_.DropBlocksFrom(frontier);
-    if (report.store_recovered) {
-      report.store_segments_recovered = store_.num_segments();
-    }
-    if (report.zones_recovered) {
-      report.zone_entries_recovered = zones_.num_entries();
-    }
+  }
+  if (report.store_recovered) {
+    report.store_segments_recovered =
+        segments_.stats(SegmentClass::kProtected).segments;
+  }
+  if (report.zones_recovered) {
+    report.zone_entries_recovered = zones_.num_entries();
   }
 
   if (offered && !report.any_recovered()) {
@@ -265,13 +259,15 @@ void RawTableState::RecordRecovery(persist::RecoveryReport report) {
 }
 
 void RawTableState::InvalidateAllLocked() {
-  // Each Clear() bumps the component's generation tag, so an in-flight
-  // scan that parsed the *old* file cannot inject stale blocks into the
-  // rebuilt structures (Promote/Observe compare tags and drop).
+  // The map, segment store and zone maps bump a generation on Clear(),
+  // so an in-flight scan that parsed the *old* file cannot publish
+  // stale rows, chunks, segments or summaries into the rebuilt
+  // structures (each compares tags under its own lock and drops).
+  // Statistics carry no generation: a stale observation can only skew
+  // an estimate, never an answer.
   map_.Clear();
-  cache_.Clear();
+  segments_.Clear();
   stats_.Clear();
-  store_.Clear();
   zones_.Clear();
   parallel_prewarmed_ = false;
   promoted_hot_.clear();

@@ -12,9 +12,8 @@
 #include "persist/image.h"
 #include "raw/nodb_config.h"
 #include "raw/positional_map.h"
-#include "raw/raw_cache.h"
 #include "raw/stats_collector.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 #include "util/mutex.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
@@ -33,8 +32,9 @@ struct ComponentFlags {
 };
 
 /// All adaptive state a NoDB engine accumulates for one raw table:
-/// the positional map, the binary cache, the on-the-fly statistics,
-/// the open file handle and the change-detection signature. Everything
+/// the positional map, the segment store (binary cache and shadow
+/// store), the on-the-fly statistics, the zone maps, the open file
+/// handle and the change-detection signature. Everything
 /// here is *disposable* — it is rebuilt from the raw file on demand —
 /// which is what makes in-situ querying safe under external updates.
 ///
@@ -56,7 +56,7 @@ class RawTableState {
   ///  - unchanged: no-op;
   ///  - appended (and the old content ended with a newline): keep all
   ///    structures, reopen row discovery for the tail;
-  ///  - rewritten: drop map, cache and statistics.
+  ///  - rewritten: drop map, segments, statistics and zone maps.
   Result<FileChange> CheckForUpdates() EXCLUDES(mu_);
 
   /// Points the state at a different file (the demo's "new data file"
@@ -82,12 +82,10 @@ class RawTableState {
 
   PositionalMap& map() { return map_; }
   const PositionalMap& map() const { return map_; }
-  RawCache& cache() { return cache_; }
-  const RawCache& cache() const { return cache_; }
+  SegmentStore& segments() { return segments_; }
+  const SegmentStore& segments() const { return segments_; }
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
-  ShadowStore& store() { return store_; }
-  const ShadowStore& store() const { return store_; }
   ZoneMaps& zones() { return zones_; }
   const ZoneMaps& zones() const { return zones_; }
 
@@ -121,7 +119,6 @@ class RawTableState {
   /// Releases the promotion claim. `completed` records the staged
   /// target as done; a failed pass leaves it re-armed.
   void EndPromotion(bool completed) EXCLUDES(mu_);
-  bool promotion_in_flight() const EXCLUDES(mu_);
 
   // -------------------------------------------- persistence (persist/)
   /// The signature the adaptive structures are valid for — captured at
@@ -134,9 +131,9 @@ class RawTableState {
 
   /// Freezes the four persistent structures into serializable images.
   /// Safe while queries are in flight: each structure exports a
-  /// consistent cut under its own lock (the RawCache is deliberately
-  /// not persisted — it is a recency cache, cheaply re-earned, and its
-  /// hottest contents are promoted into the store anyway).
+  /// consistent cut under its own lock (only the protected segments
+  /// are persisted — the probationary class is a recency cache, cheaply
+  /// re-earned, and its hottest contents are promoted anyway).
   persist::AdaptiveImage Freeze() const;
 
   /// Thaws images into the (cold) structures and records the recovery
@@ -174,17 +171,17 @@ class RawTableState {
   ///
   ///   1. RawTableState::mu_        (this lock: handle/flags/claims)
   ///   2. PositionalMap::discovery_mu_  then  PositionalMap::mu_
-  ///   3. ShadowStore::mu_
-  ///   4. RawCache::mu_
-  ///   5. StatsCollector / AttributeStats / ZoneMaps mu_
+  ///   3. SegmentStore::mu_
+  ///   4. StatsCollector / AttributeStats / ZoneMaps mu_
   ///
   /// The component structures never call back up the stack (a map
-  /// operation cannot touch the store, a store operation cannot touch
-  /// the cache, ...), so holding an outer lock while entering an inner
-  /// structure is safe and the reverse never happens. ACQUIRED_BEFORE
-  /// on PositionalMap::discovery_mu_ encodes the one intra-structure
-  /// edge; NoDbEngine's locks (states_mu_, promo_mu_, pool_mu_,
-  /// totals_mu_) sit above level 1 and are leaf-only among themselves.
+  /// operation cannot touch the segment store, a segment-store
+  /// operation cannot touch the statistics, ...), so holding an outer
+  /// lock while entering an inner structure is safe and the reverse
+  /// never happens. ACQUIRED_BEFORE on PositionalMap::discovery_mu_
+  /// encodes the one intra-structure edge; NoDbEngine's locks
+  /// (states_mu_, promo_mu_, pool_mu_, totals_mu_) sit above level 1
+  /// and are leaf-only among themselves.
   mutable Mutex mu_;
   ComponentFlags flags_ GUARDED_BY(mu_);
   std::shared_ptr<RandomAccessFile> file_ GUARDED_BY(mu_);
@@ -205,9 +202,8 @@ class RawTableState {
   std::atomic<uint64_t> queries_executed_{0};
 
   PositionalMap map_;
-  RawCache cache_;
+  SegmentStore segments_;
   StatsCollector stats_;
-  ShadowStore store_;
   ZoneMaps zones_;
 };
 

@@ -22,8 +22,9 @@ bool PromotionPending(const RawTableState& state,
   if (hot_attrs.empty()) return false;
   if (!state.map().rows_complete()) return true;  // undiscovered rows
   const uint64_t known = state.map().known_rows();
+  const std::vector<uint64_t> rows = state.segments().protected_rows();
   for (uint32_t attr : hot_attrs) {
-    if (state.store().rows_materialized(attr) < known) return true;
+    if (attr >= rows.size() || rows[attr] < known) return true;
   }
   return false;
 }

@@ -114,7 +114,11 @@ TEST_F(EngineTest, MetricsPopulatedAndAdaptive) {
   const RawTableState* state = engine.table_state("sales");
   ASSERT_NE(state, nullptr);
   EXPECT_TRUE(state->map().rows_complete());
-  EXPECT_GT(state->cache().num_segments(), 0u);
+  // The parsed id segments are resident: probationary, or already
+  // promoted by the second run (a class change, not a copy).
+  EXPECT_GT(state->segments().stats(SegmentClass::kProbationary).segments +
+                state->segments().stats(SegmentClass::kProtected).segments,
+            0u);
 
   // Two accesses crossed the promotion threshold: once the background
   // pass materializes the hot columns, the third run serves from the
@@ -250,7 +254,8 @@ TEST_F(EngineTest, RuntimeComponentToggles) {
   NoDbEngine engine(catalog_, SmallBlocks());
   ASSERT_TRUE(engine.Execute("SELECT SUM(id) AS s FROM sales").ok());
   const RawTableState* state = engine.table_state("sales");
-  size_t segments = state->cache().num_segments();
+  size_t segments =
+      state->segments().stats(SegmentClass::kProbationary).segments;
   ASSERT_GT(segments, 0u);
 
   // Disable everything: queries still answer, structures are ignored
@@ -261,7 +266,8 @@ TEST_F(EngineTest, RuntimeComponentToggles) {
   auto off = engine.Execute("SELECT SUM(amount) AS s FROM sales");
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->metrics.scan.cache_block_hits, 0u);
-  EXPECT_EQ(state->cache().num_segments(), segments);  // unchanged
+  EXPECT_EQ(state->segments().stats(SegmentClass::kProbationary).segments,
+            segments);  // unchanged
 
   // Re-enable: the retained structures serve again immediately.
   engine.SetPositionalMapEnabled(true);

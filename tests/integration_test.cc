@@ -58,9 +58,12 @@ TEST(IntegrationTest, EpochWorkloadAdaptsAndEvicts) {
   ASSERT_NE(state, nullptr);
   // Budgets were respected throughout...
   EXPECT_LE(state->map().bytes_used(), config.positional_map_budget);
-  EXPECT_LE(state->cache().bytes_used(), config.cache_budget);
+  EXPECT_LE(state->segments().stats(SegmentClass::kProbationary).bytes,
+            config.cache_budget);
   // ...and adaptation actually evicted older-epoch state.
-  EXPECT_GT(state->map().evictions() + state->cache().evictions(), 0u);
+  EXPECT_GT(state->map().evictions() +
+                state->segments().stats(SegmentClass::kProbationary).evictions,
+            0u);
   // The most recent epoch's predicate column is still indexed (LRU
   // kept it hot; with pushdown, chunks record the phase-1 columns).
   EXPECT_GT(state->map().CoverageFraction(23), 0.5);

@@ -242,7 +242,7 @@ class PushdownParityTest : public ::testing::Test {
     // The store tier really served pushed queries by the last round.
     const RawTableState* state = pushed.table_state("p");
     ASSERT_NE(state, nullptr);
-    EXPECT_GT(state->store().hits(), 0u);
+    EXPECT_GT(state->segments().counters().block_hits, 0u);
 
     // Clean append: zone maps truncate at the frontier block; results
     // must still agree (fresh rows visible to both engines).

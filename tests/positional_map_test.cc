@@ -26,7 +26,7 @@ PositionalMap MakeMap(size_t budget = kBudget, uint32_t block = 64,
 /// ends at a*10+5+r%7.
 void CommitChunk(PositionalMap* map, uint64_t first, size_t rows,
                  const std::vector<uint32_t>& attrs) {
-  auto builder = map->StartChunk(first, attrs);
+  auto builder = map->StartChunk(first, attrs, map->generation());
   std::vector<uint32_t> starts(attrs.size());
   std::vector<uint32_t> ends(attrs.size());
   for (size_t r = 0; r < rows; ++r) {
@@ -43,17 +43,77 @@ TEST(PositionalMapTest, RowIndexDiscovery) {
   PositionalMap map = MakeMap();
   EXPECT_EQ(map.known_rows(), 0u);
   EXPECT_FALSE(map.rows_complete());
-  map.AddRowStart(0);
-  map.AddRowStart(100);
-  map.AddRowStart(200);
-  EXPECT_EQ(map.known_rows(), 3u);
-  EXPECT_EQ(map.row_start(1), 100u);
-  map.MarkRowsComplete(300);
+  {
+    PositionalMap::Discovery discovery(&map, map.generation());
+    discovery.PublishRow(0, 99);
+    discovery.PublishRow(100, 199);
+    discovery.PublishRow(200, 299);
+    EXPECT_EQ(map.known_rows(), 3u);
+    EXPECT_EQ(map.row_start(1), 100u);
+    EXPECT_FALSE(map.rows_complete());
+    discovery.MarkComplete(300);
+  }
   EXPECT_TRUE(map.rows_complete());
-  EXPECT_EQ(map.indexed_file_size(), 300u);
-  map.ReopenForAppend();
+  EXPECT_EQ(map.CompleteRows(300), 3u);
+  map.ReopenForAppend(450);
   EXPECT_FALSE(map.rows_complete());
+  EXPECT_EQ(map.CompleteRows(300), UINT64_MAX);
   EXPECT_EQ(map.known_rows(), 3u);  // boundaries survive appends
+}
+
+TEST(PositionalMapTest, ReopenedIndexCompletesOnlyAtTheAppendedSize) {
+  PositionalMap map = MakeMap();
+  {
+    PositionalMap::Discovery discovery(&map, map.generation());
+    discovery.PublishRow(0, 99);
+    discovery.PublishRow(100, 199);
+    discovery.MarkComplete(200);
+  }
+  map.ReopenForAppend(300);
+  {
+    // A scan opened before the append saw the old end of file.
+    PositionalMap::Discovery stale_view(&map, map.generation());
+    stale_view.MarkComplete(200);
+  }
+  EXPECT_FALSE(map.rows_complete());
+  PositionalMap::Discovery discovery(&map, map.generation());
+  discovery.PublishRow(200, 299);
+  discovery.MarkComplete(300);
+  EXPECT_TRUE(map.rows_complete());
+  EXPECT_EQ(map.CompleteRows(300), 3u);
+}
+
+TEST(PositionalMapTest, ClearFencesPublicationsOfTheOldFile) {
+  PositionalMap map = MakeMap();
+  const uint64_t old_generation = map.generation();
+  auto builder = map.StartChunk(0, {1}, old_generation);
+  const uint32_t start = 10;
+  const uint32_t end = 15;
+  builder.AddRow(&start, &end);
+  map.Clear();
+  EXPECT_NE(map.generation(), old_generation);
+
+  // Every publication carrying the old generation is dropped.
+  map.CommitChunk(std::move(builder));
+  map.PublishRowIndex({0, 100}, 200, 200, old_generation);
+  {
+    PositionalMap::Discovery stale(&map, old_generation);
+    uint64_t resume = 0;
+    uint64_t frontier = 0;
+    EXPECT_FALSE(stale.NeedsRow(0, &resume, &frontier));
+    stale.PublishRow(0, 99);
+    stale.MarkComplete(200);
+  }
+  EXPECT_EQ(map.num_chunks(), 0u);
+  EXPECT_EQ(map.known_rows(), 0u);
+  EXPECT_FALSE(map.rows_complete());
+  std::vector<uint64_t> bounds;
+  EXPECT_EQ(map.SnapshotRows(0, 1, &bounds).generation, map.generation());
+
+  // The current generation publishes normally.
+  map.PublishRowIndex({0, 100}, 200, 200, map.generation());
+  EXPECT_EQ(map.known_rows(), 2u);
+  EXPECT_TRUE(map.rows_complete());
 }
 
 TEST(PositionalMapTest, ExactProbeFromCommittedChunk) {
@@ -178,7 +238,9 @@ TEST(PositionalMapTest, ChunksArePerBlock) {
 
 TEST(PositionalMapTest, CoverageFraction) {
   PositionalMap map = MakeMap(kBudget, 64, 1);
-  for (int i = 0; i < 128; ++i) map.AddRowStart(i * 10);
+  std::vector<uint64_t> starts;
+  for (uint64_t i = 0; i < 128; ++i) starts.push_back(i * 10);
+  map.PublishRowIndex(std::move(starts), 1280, 1280, map.generation());
   CommitChunk(&map, 0, 64, {3});
   EXPECT_DOUBLE_EQ(map.CoverageFraction(3), 0.5);
   EXPECT_DOUBLE_EQ(map.CoverageFraction(4), 0.0);
@@ -188,9 +250,8 @@ TEST(PositionalMapTest, CoverageFraction) {
 
 TEST(PositionalMapTest, ClearDropsEverything) {
   PositionalMap map = MakeMap();
-  map.AddRowStart(0);
+  map.PublishRowIndex({0}, 1000, 1000, map.generation());
   CommitChunk(&map, 0, 64, {1});
-  map.MarkRowsComplete(1000);
   map.Clear();
   EXPECT_EQ(map.known_rows(), 0u);
   EXPECT_EQ(map.num_chunks(), 0u);
@@ -266,7 +327,7 @@ TEST(PositionalMapConcurrencyTest, RacingScannersDiscoverEachRowOnce) {
         return true;
       }
       if (snap.complete && row >= snap.known_rows) return false;
-      PositionalMap::Discovery discovery(&map);
+      PositionalMap::Discovery discovery(&map, map.generation());
       uint64_t resume = 0;
       uint64_t frontier = 0;
       while (discovery.NeedsRow(row, &resume, &frontier)) {

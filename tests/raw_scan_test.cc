@@ -501,9 +501,10 @@ TEST_F(RawScanTest, ParallelStateIdenticalToSerialAtAnyThreadCount) {
     EXPECT_TRUE(state.map().rows_complete());
     EXPECT_EQ(state.map().num_chunks(), serial.map().num_chunks());
     EXPECT_EQ(state.map().bytes_used(), serial.map().bytes_used());
-    EXPECT_EQ(state.cache().num_segments(),
-              serial.cache().num_segments());
-    EXPECT_EQ(state.cache().bytes_used(), serial.cache().bytes_used());
+    EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments,
+              serial.segments().stats(SegmentClass::kProbationary).segments);
+    EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).bytes,
+              serial.segments().stats(SegmentClass::kProbationary).bytes);
     VerifyScan(&state, {0, 2, 5}, 777);
   }
 }
@@ -642,7 +643,7 @@ TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialErrorUntouched) {
   // Same "row N" the serial scan reports, and no half-built state.
   EXPECT_NE(stats.status().message().find("row 1"), std::string::npos);
   EXPECT_EQ(state.map().known_rows(), 0u);
-  EXPECT_EQ(state.cache().num_segments(), 0u);
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
 
   // Short rows likewise mirror the serial field-count error.
   std::string short_path = dir_->FilePath("short_par.csv");
@@ -849,7 +850,7 @@ TEST_F(RawScanTest, PushdownServesFromShadowStoreWithZoneSkips) {
 
   // Touch both columns so the piggyback promotes them block by block.
   VerifyScan(&state, {0, 2}, 400);
-  ASSERT_GT(state.store().num_segments(), 0u);
+  ASSERT_GT(state.segments().stats(SegmentClass::kProtected).segments, 0u);
 
   // The pushed scan now serves from the store — and zone maps prune
   // store blocks too: only qualifying blocks are even probed.
@@ -894,9 +895,11 @@ TEST_F(RawScanTest, ParallelPrewarmKnobSubsets) {
       EXPECT_EQ(state.map().known_rows(), 0u);
     }
     if (mask & 2) {
-      EXPECT_GT(state.cache().num_segments(), 0u);
+      EXPECT_GT(state.segments().stats(SegmentClass::kProbationary).segments,
+                0u);
     } else {
-      EXPECT_EQ(state.cache().num_segments(), 0u);
+      EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments,
+                0u);
     }
     VerifyScan(&state, {1, 3}, 300);
   }

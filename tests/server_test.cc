@@ -22,7 +22,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
 
 namespace nodb {
 namespace server {
@@ -685,39 +685,47 @@ std::shared_ptr<const ColumnVector> SegmentOfBytes(size_t n) {
   return col;
 }
 
-TEST(TenantTest, ShadowStoreEvictsOverShareOwnerFirst) {
-  // Budget fits ~4 segments; tenant A promotes 3, tenant B promotes 2.
-  // A is over its fair share (budget/2), so the fourth-plus promotions
-  // evict A's oldest segments — B's stay resident.
-  auto probe = SegmentOfBytes(1024);
-  size_t seg_bytes;
-  {
-    ShadowStore sizer(1u << 20);
-    sizer.Promote(0, 0, probe, 0);
-    seg_bytes = sizer.bytes_used();
+TEST(TenantTest, SegmentStoreEvictsOverShareOwnerFirstPerClass) {
+  // Each class's quota fits ~4 segments; tenant A inserts 3, tenant B
+  // inserts 2. A is over its fair share (quota/2), so the fifth insert
+  // evicts A's oldest segment — B's stay resident. Checked for the
+  // protected (store) class with nowhere to demote to, and for the
+  // probationary (cache) class.
+  for (SegmentClass cls :
+       {SegmentClass::kProtected, SegmentClass::kProbationary}) {
+    SCOPED_TRACE(cls == SegmentClass::kProtected ? "protected"
+                                                 : "probationary");
+    auto probe = SegmentOfBytes(1024);
+    size_t seg_bytes;
+    {
+      SegmentStore sizer(1u << 20, 1u << 20);
+      sizer.Put(0, 0, probe, cls, 0);
+      seg_bytes = sizer.stats(cls).bytes;
+    }
+    const bool prot = cls == SegmentClass::kProtected;
+    SegmentStore store(prot ? 0 : seg_bytes * 4, prot ? seg_bytes * 4 : 0);
+    uint32_t a = obs::TenantIdFor("store-a");
+    uint32_t b = obs::TenantIdFor("store-b");
+    {
+      obs::ScopedTenantLabel label(a);
+      store.Put(0, 0, SegmentOfBytes(1024), cls, 0);
+      store.Put(0, 1, SegmentOfBytes(1024), cls, 0);
+      store.Put(0, 2, SegmentOfBytes(1024), cls, 0);
+    }
+    {
+      obs::ScopedTenantLabel label(b);
+      store.Put(1, 0, SegmentOfBytes(1024), cls, 0);
+      store.Put(1, 1, SegmentOfBytes(1024), cls, 0);
+    }
+    // Over quota by one segment: the victim must be A's least recent
+    // (attr 0, block 0), never B's.
+    EXPECT_LE(store.stats(cls).bytes, store.stats(cls).quota);
+    EXPECT_FALSE(store.Contains(0, 0, cls));
+    EXPECT_TRUE(store.Contains(1, 0, cls));
+    EXPECT_TRUE(store.Contains(1, 1, cls));
+    EXPECT_EQ(store.bytes_used_by(a, cls), 2 * seg_bytes);
+    EXPECT_EQ(store.bytes_used_by(b, cls), 2 * seg_bytes);
   }
-  ShadowStore store(seg_bytes * 4);
-  uint32_t a = obs::TenantIdFor("store-a");
-  uint32_t b = obs::TenantIdFor("store-b");
-  {
-    obs::ScopedTenantLabel label(a);
-    store.Promote(0, 0, SegmentOfBytes(1024), 0);
-    store.Promote(0, 1, SegmentOfBytes(1024), 0);
-    store.Promote(0, 2, SegmentOfBytes(1024), 0);
-  }
-  {
-    obs::ScopedTenantLabel label(b);
-    store.Promote(1, 0, SegmentOfBytes(1024), 0);
-    store.Promote(1, 1, SegmentOfBytes(1024), 0);
-  }
-  // Over budget by one segment: the victim must be A's least recent
-  // (attr 0, block 0), never B's.
-  EXPECT_LE(store.bytes_used(), store.budget_bytes());
-  EXPECT_FALSE(store.Contains(0, 0));
-  EXPECT_TRUE(store.Contains(1, 0));
-  EXPECT_TRUE(store.Contains(1, 1));
-  EXPECT_EQ(store.bytes_used_by(a), 2 * seg_bytes);
-  EXPECT_EQ(store.bytes_used_by(b), 2 * seg_bytes);
 }
 
 TEST(TenantTest, StatsCollectorPartitionsHeatByTenant) {

@@ -1,13 +1,18 @@
-// Tests for the shadow column store subsystem: ShadowStore unit
-// behavior (LRU budget, all-or-nothing block probes, invalidation),
-// access-heat tracking, piggybacked and background promotion, hybrid
-// store/cache/raw serving, append/rewrite lifecycle, and byte-identical
-// results under concurrent promotion.
+// Tests for the segment store: SegmentStore unit behavior per class
+// (probationary: the binary cache; protected: the shadow store) —
+// quotas, LRU, promotion and demotion, all-or-nothing block probes,
+// the generation fence, images — then access-heat tracking,
+// piggybacked and background promotion, hybrid store/cache/raw
+// serving, append/rewrite lifecycle, and byte-identical results under
+// concurrent promotion.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engines/load_first_engine.h"
@@ -18,13 +23,17 @@
 #include "raw/raw_scan.h"
 #include "raw/table_state.h"
 #include "store/promoter.h"
-#include "store/shadow_store.h"
+#include "store/segment_store.h"
+#include "util/random.h"
 
 namespace nodb {
 namespace {
 
+constexpr SegmentClass kCache = SegmentClass::kProbationary;
+constexpr SegmentClass kStore = SegmentClass::kProtected;
+
 std::shared_ptr<const ColumnVector> MakeSegment(size_t rows,
-                                                int64_t start) {
+                                                int64_t start = 0) {
   auto col = std::make_shared<ColumnVector>(DataType::kInt64);
   for (size_t i = 0; i < rows; ++i) {
     col->AppendInt64(start + static_cast<int64_t>(i));
@@ -32,111 +41,457 @@ std::shared_ptr<const ColumnVector> MakeSegment(size_t rows,
   return col;
 }
 
-TEST(ShadowStoreTest, PromoteGetContainsAndCoverage) {
-  ShadowStore store(1 << 20);
-  EXPECT_EQ(store.Get(0, 0), nullptr);
-  EXPECT_FALSE(store.Contains(0, 0));
+/// Rows of `attr` held protected (0 when none ever were).
+uint64_t ProtectedRows(const SegmentStore& store, uint32_t attr) {
+  std::vector<uint64_t> rows = store.protected_rows();
+  return attr < rows.size() ? rows[attr] : 0;
+}
 
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  store.Promote(3, 0, MakeSegment(64, 0), store.generation());
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_TRUE(store.Contains(3, 0));
-  EXPECT_EQ(store.num_segments(), 3u);
-  EXPECT_EQ(store.promotions(), 3u);
-  EXPECT_EQ(store.rows_materialized(0), 128u);
-  EXPECT_EQ(store.rows_materialized(3), 64u);
-  EXPECT_EQ(store.rows_materialized(1), 0u);
+/// Bytes one segment occupies in either class (payload + entry).
+size_t ChargedBytes(size_t rows) {
+  SegmentStore sizer(1 << 20, 1 << 20);
+  sizer.Put(0, 0, MakeSegment(rows), kCache, sizer.generation());
+  return sizer.stats(kCache).bytes;
+}
 
-  auto seg = store.Get(0, 1);
+// -------------------------------------------------- probationary class
+// The paper's binary cache: hit/miss accounting, LRU eviction under the
+// cache quota, replacement of re-parsed blocks, randomized invariants.
+
+TEST(SegmentStoreTest, ProbationaryMissThenHit) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  EXPECT_EQ(store.Get(0, 0, gen), nullptr);
+  EXPECT_EQ(store.counters().misses, 1u);
+  store.Put(0, 0, MakeSegment(100), kCache, gen);
+  SegmentClass cls = kStore;
+  auto seg = store.Get(0, 0, gen, &cls);
   ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(cls, kCache);
+  EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(seg->GetInt64(5), 5);
+  EXPECT_TRUE(store.Contains(0, 0, kCache));
+  EXPECT_FALSE(store.Contains(0, 0, kStore));
+  EXPECT_FALSE(store.Contains(0, 1, kCache));
+  EXPECT_FALSE(store.Contains(1, 0, kCache));
+}
+
+TEST(SegmentStoreTest, KeysAreAttrBlockPairs) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(1, 2, MakeSegment(10, 100), kCache, gen);
+  store.Put(2, 1, MakeSegment(10, 200), kStore, gen);
+  EXPECT_EQ(store.Get(1, 2, gen)->GetInt64(0), 100);
+  EXPECT_EQ(store.Get(2, 1, gen)->GetInt64(0), 200);
+}
+
+TEST(SegmentStoreTest, ProbationaryReplaceUpdatesBytes) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(10), kCache, gen);
+  size_t small = store.stats(kCache).bytes;
+  store.Put(0, 0, MakeSegment(1000), kCache, gen);
+  EXPECT_GT(store.stats(kCache).bytes, small);
+  EXPECT_EQ(store.stats(kCache).segments, 1u);
+  EXPECT_EQ(store.Get(0, 0, gen)->size(), 1000u);
+}
+
+TEST(SegmentStoreTest, ProbationaryLruEvictionUnderQuota) {
+  // Each 100-row int segment is ~900 bytes with overhead; quota for ~4.
+  SegmentStore store(4000, 1 << 20);
+  const uint64_t gen = store.generation();
+  for (uint32_t a = 0; a < 10; ++a) {
+    store.Put(a, 0, MakeSegment(100), kCache, gen);
+    EXPECT_LE(store.stats(kCache).bytes, 4000u);
+  }
+  EXPECT_GT(store.stats(kCache).evictions, 0u);
+  EXPECT_EQ(store.Get(0, 0, gen), nullptr);  // oldest evicted
+  EXPECT_NE(store.Get(9, 0, gen), nullptr);  // newest resident
+  EXPECT_EQ(store.stats(kStore).evictions, 0u);    // classes count apart
+}
+
+TEST(SegmentStoreTest, ProbationaryGetRefreshesRecency) {
+  SegmentStore store(4000, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(100), kCache, gen);
+  for (uint32_t a = 1; a < 10; ++a) {
+    ASSERT_NE(store.Get(0, 0, gen), nullptr) << "a=" << a;  // keep hot
+    store.Put(a, 0, MakeSegment(100), kCache, gen);
+  }
+  EXPECT_NE(store.Get(0, 0, gen), nullptr);
+}
+
+TEST(SegmentStoreTest, OversizedSegmentRejectedPerClass) {
+  SegmentStore store(100, 100);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(1000), kCache, gen);
+  store.Put(1, 0, MakeSegment(1000), kStore, gen);
+  EXPECT_FALSE(store.Contains(0, 0, kCache));
+  EXPECT_FALSE(store.Contains(1, 0, kStore));
+  EXPECT_EQ(store.stats(kCache).bytes, 0u);
+  EXPECT_EQ(store.stats(kStore).bytes, 0u);
+  EXPECT_EQ(store.counters().promotions, 0u);
+}
+
+TEST(SegmentStoreTest, OversizedReplacementInvalidatesStaleEntry) {
+  // Regression: Put() used to return early on an over-quota segment
+  // *without* dropping the existing entry under the same key, so a
+  // re-parsed block (e.g. the tail after an append) could keep serving
+  // its stale predecessor.
+  SegmentStore store(2000, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(3, 7, MakeSegment(10, 100), kCache, gen);
+  ASSERT_NE(store.Get(3, 7, gen), nullptr);
+  ASSERT_GT(store.stats(kCache).bytes, 0u);
+
+  store.Put(3, 7, MakeSegment(100000, 999), kCache, gen);  // > quota
+  EXPECT_FALSE(store.Contains(3, 7, kCache));
+  EXPECT_EQ(store.Get(3, 7, gen), nullptr);  // stale data must be gone
+  EXPECT_EQ(store.stats(kCache).bytes, 0u);
+  EXPECT_EQ(store.stats(kCache).segments, 0u);
+}
+
+TEST(SegmentStoreTest, ClearResetsContentKeepsCounters) {
+  SegmentStore store(1 << 20, 1 << 20);
+  uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(10), kCache, gen);
+  store.Put(1, 0, MakeSegment(10), kStore, gen);
+  ASSERT_NE(store.Get(0, 0, gen), nullptr);
+  store.Clear();
+  gen = store.generation();
+  for (SegmentClass cls : {kCache, kStore}) {
+    EXPECT_EQ(store.stats(cls).segments, 0u);
+    EXPECT_EQ(store.stats(cls).bytes, 0u);
+  }
+  EXPECT_EQ(ProtectedRows(store, 1), 0u);
+  EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(store.counters().promotions, 1u);
+  EXPECT_EQ(store.Get(0, 0, gen), nullptr);
+}
+
+TEST(SegmentStoreTest, UtilizationTracksQuotaPerClass) {
+  SegmentStore store(10000, 20000);
+  const uint64_t gen = store.generation();
+  EXPECT_DOUBLE_EQ(store.stats(kCache).utilization(), 0.0);
+  store.Put(0, 0, MakeSegment(100), kCache, gen);
+  EXPECT_GT(store.stats(kCache).utilization(), 0.0);
+  EXPECT_LE(store.stats(kCache).utilization(), 1.0);
+  EXPECT_DOUBLE_EQ(store.stats(kStore).utilization(), 0.0);
+  store.Put(1, 0, MakeSegment(100), kStore, gen);
+  EXPECT_DOUBLE_EQ(store.stats(kStore).utilization(),
+                   store.stats(kCache).utilization() / 2);
+}
+
+/// Property sweep across quotas: no class ever exceeds its quota, hits
+/// always return the exact segment last inserted, and hit+miss counts
+/// equal the number of Gets.
+class SegmentQuotaSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SegmentQuotaSweep, InvariantsUnderRandomAccess) {
+  const size_t quota = GetParam();
+  SegmentStore store(quota, quota / 2);
+  const uint64_t gen = store.generation();
+  Random rng(quota);
+  uint64_t gets = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    uint32_t attr = static_cast<uint32_t>(rng.Uniform(8));
+    uint64_t block = rng.Uniform(8);
+    if (rng.Bernoulli(0.5)) {
+      store.Put(attr, block,
+                MakeSegment(1 + rng.Uniform(200),
+                            static_cast<int64_t>(attr * 1000 + block)),
+                rng.Bernoulli(0.3) ? kStore : kCache, gen);
+    } else {
+      ++gets;
+      auto seg = store.Get(attr, block, gen);
+      if (seg != nullptr) {
+        EXPECT_EQ(seg->GetInt64(0),
+                  static_cast<int64_t>(attr * 1000 + block));
+      }
+    }
+    ASSERT_LE(store.stats(kCache).bytes, store.stats(kCache).quota);
+    ASSERT_LE(store.stats(kStore).bytes, store.stats(kStore).quota);
+  }
+  EXPECT_EQ(store.counters().hits + store.counters().misses, gets);
+}
+
+INSTANTIATE_TEST_SUITE_P(Quotas, SegmentQuotaSweep,
+                         ::testing::Values(2000, 8000, 64000, 1 << 20));
+
+TEST(SegmentStoreConcurrencyTest, ConcurrentGetPutStaysConsistent) {
+  // Eight threads hammer one small store with mixed Get/Put/Contains
+  // across both classes; every segment for key (attr, block) carries a
+  // key-derived marker, so any cross-wired entry or torn LRU touch
+  // shows up as a wrong value (and TSan sees any unlocked access).
+  SegmentStore store(16000, 8000);
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 4000;
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      Random rng(1000 + static_cast<uint64_t>(t));
+      const uint64_t gen = store.generation();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        uint32_t attr = static_cast<uint32_t>(rng.Uniform(4));
+        uint64_t block = rng.Uniform(16);
+        switch (rng.Uniform(4)) {
+          case 0:
+          case 1:
+            store.Put(attr, block,
+                      MakeSegment(1 + rng.Uniform(50),
+                                  static_cast<int64_t>(attr * 1000 + block)),
+                      rng.Bernoulli(0.5) ? kStore : kCache, gen);
+            break;
+          case 2: {
+            auto seg = store.Get(attr, block, gen);
+            if (seg != nullptr) {
+              EXPECT_EQ(seg->GetInt64(0),
+                        static_cast<int64_t>(attr * 1000 + block));
+            }
+            break;
+          }
+          default:
+            store.Contains(attr, block, kStore);
+            break;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_LE(store.stats(kCache).bytes, store.stats(kCache).quota);
+  EXPECT_LE(store.stats(kStore).bytes, store.stats(kStore).quota);
+  EXPECT_GT(store.counters().hits + store.counters().misses, 0u);
+  // The store still works after the storm.
+  const uint64_t gen = store.generation();
+  store.Put(9, 9, MakeSegment(5, 9009), kCache, gen);
+  auto seg = store.Get(9, 9, gen);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(seg->GetInt64(0), 9009);
+}
+
+TEST(SegmentStoreConcurrencyTest, HitsSurviveConcurrentEviction) {
+  // A reader holds segments it got from the store while a writer floods
+  // both classes and evicts everything repeatedly: shared ownership
+  // must keep every held segment valid and unchanged.
+  SegmentStore store(8000, 4000);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(64, 42), kCache, gen);
+
+  std::thread writer([&store, gen] {
+    for (int round = 0; round < 2000; ++round) {
+      store.Put(1, static_cast<uint64_t>(round % 8),
+                MakeSegment(128, round), round % 2 ? kStore : kCache, gen);
+    }
+  });
+
+  for (int i = 0; i < 2000; ++i) {
+    auto seg = store.Get(0, 0, gen);
+    if (seg == nullptr) {
+      store.Put(0, 0, MakeSegment(64, 42), kCache, gen);
+      continue;
+    }
+    ASSERT_EQ(seg->size(), 64u);
+    EXPECT_EQ(seg->GetInt64(0), 42);
+    EXPECT_EQ(seg->GetInt64(63), 42 + 63);
+  }
+  writer.join();
+}
+
+// ----------------------------------------------------- protected class
+// The shadow store: promotion, all-or-nothing block probes, LRU under
+// the store quota with demotion, invalidation.
+
+TEST(SegmentStoreTest, PromoteGetContainsAndCoverage) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  EXPECT_EQ(store.Get(0, 0, gen), nullptr);
+  EXPECT_FALSE(store.Contains(0, 0, kStore));
+
+  store.Put(0, 0, MakeSegment(64, 0), kStore, gen);
+  store.Put(0, 1, MakeSegment(64, 64), kStore, gen);
+  store.Put(3, 0, MakeSegment(64, 0), kStore, gen);
+  EXPECT_TRUE(store.Contains(0, 0, kStore));
+  EXPECT_TRUE(store.Contains(3, 0, kStore));
+  EXPECT_EQ(store.stats(kStore).segments, 3u);
+  EXPECT_EQ(store.counters().promotions, 3u);
+  EXPECT_EQ(ProtectedRows(store, 0), 128u);
+  EXPECT_EQ(ProtectedRows(store, 3), 64u);
+  EXPECT_EQ(ProtectedRows(store, 1), 0u);
+
+  SegmentClass cls = kCache;
+  auto seg = store.Get(0, 1, gen, &cls);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(cls, kStore);
   EXPECT_EQ(seg->GetInt64(0), 64);
 
-  // Duplicate promotion is a no-op: the resident segment parsed the
-  // same bytes.
-  store.Promote(0, 0, MakeSegment(64, 1000), store.generation());
-  EXPECT_EQ(store.promotions(), 3u);
-  EXPECT_EQ(store.Get(0, 0)->GetInt64(0), 0);
+  // Promoting again is a no-op: the resident segment parsed the same
+  // bytes. So is a probationary insert of the same block.
+  store.Put(0, 0, MakeSegment(64, 1000), kStore, gen);
+  store.Put(0, 0, MakeSegment(64, 2000), kCache, gen);
+  EXPECT_EQ(store.counters().promotions, 3u);
+  EXPECT_EQ(store.stats(kCache).segments, 0u);
+  EXPECT_EQ(store.Get(0, 0, gen)->GetInt64(0), 0);
 
-  EXPECT_EQ(store.MaterializedAttributes(),
-            (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(store.protected_rows(),
+            (std::vector<uint64_t>{128, 0, 0, 64}));
 }
 
-TEST(ShadowStoreTest, GetBlockIsAllOrNothing) {
-  ShadowStore store(1 << 20);
-  store.Promote(0, 2, MakeSegment(64, 0), store.generation());
-  store.Promote(5, 2, MakeSegment(64, 100), store.generation());
+TEST(SegmentStoreTest, PromotionIsAClassChangeNotACopy) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  auto segment = MakeSegment(64, 7);
+  store.Put(2, 4, segment, kCache, gen);
+  const size_t bytes = store.stats(kCache).bytes;
+  ASSERT_GT(bytes, 0u);
+
+  store.Put(2, 4, segment, kStore, gen);
+  EXPECT_FALSE(store.Contains(2, 4, kCache));
+  EXPECT_TRUE(store.Contains(2, 4, kStore));
+  EXPECT_EQ(store.stats(kCache).bytes, 0u);
+  EXPECT_EQ(store.stats(kStore).bytes, bytes);
+  EXPECT_EQ(store.counters().promotions, 1u);
+  EXPECT_EQ(store.Get(2, 4, gen), segment);  // the same shared segment
+
+  // A longer re-parse of the block replaces a shorter protected one
+  // (a stale pre-append tail); a shorter one never does.
+  store.Put(2, 4, MakeSegment(80, 7), kCache, gen);
+  EXPECT_TRUE(store.Contains(2, 4, kCache));
+  EXPECT_EQ(ProtectedRows(store, 2), 0u);
+  store.Put(2, 4, MakeSegment(80, 7), kStore, gen);
+  store.Put(2, 4, MakeSegment(16, 7), kCache, gen);
+  EXPECT_EQ(store.Get(2, 4, gen)->size(), 80u);
+
+  // A promotion that could never fit leaves the probationary copy be.
+  SegmentStore small(1 << 20, 64);
+  small.Put(0, 0, segment, kCache, small.generation());
+  small.Put(0, 0, segment, kStore, small.generation());
+  EXPECT_TRUE(small.Contains(0, 0, kCache));
+  EXPECT_EQ(small.counters().promotions, 0u);
+}
+
+TEST(SegmentStoreTest, GetProtectedBlockIsAllOrNothing) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(0, 2, MakeSegment(64, 0), kStore, gen);
+  store.Put(5, 2, MakeSegment(64, 100), kStore, gen);
+  store.Put(3, 2, MakeSegment(64, 300), kCache, gen);
 
   std::vector<std::shared_ptr<const ColumnVector>> segs;
-  EXPECT_TRUE(store.GetBlock({0, 5}, 2, &segs));
+  EXPECT_TRUE(store.GetProtectedBlock({0, 5}, 2, gen, &segs));
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[1]->GetInt64(0), 100);
-  EXPECT_EQ(store.hits(), 1u);
+  EXPECT_EQ(store.counters().block_hits, 1u);
 
-  // One attribute missing: nothing is returned, one miss counted.
-  EXPECT_FALSE(store.GetBlock({0, 3, 5}, 2, &segs));
+  // One attribute only probationary: nothing is returned, one miss.
+  EXPECT_FALSE(store.GetProtectedBlock({0, 3, 5}, 2, gen, &segs));
   EXPECT_TRUE(segs.empty());
-  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.counters().block_misses, 1u);
+  EXPECT_EQ(store.counters().block_hits, 1u);
 }
 
-TEST(ShadowStoreTest, LruEvictionUnderBudget) {
-  size_t one_segment = MakeSegment(64, 0)->MemoryUsage();
-  ShadowStore store(one_segment * 2 + one_segment / 2);
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  EXPECT_EQ(store.evictions(), 0u);
+TEST(SegmentStoreTest, ProtectedLruEvictionDemotesToProbationary) {
+  const size_t one_segment = ChargedBytes(64);
+  SegmentStore store(1 << 20, one_segment * 2 + one_segment / 2);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(64, 0), kStore, gen);
+  store.Put(0, 1, MakeSegment(64, 64), kStore, gen);
+  EXPECT_EQ(store.stats(kStore).evictions, 0u);
 
   // Touch block 0 so block 1 is the LRU victim.
-  ASSERT_NE(store.Get(0, 0), nullptr);
-  store.Promote(0, 2, MakeSegment(64, 128), store.generation());
-  EXPECT_EQ(store.evictions(), 1u);
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_FALSE(store.Contains(0, 1));
-  EXPECT_TRUE(store.Contains(0, 2));
-  EXPECT_LE(store.bytes_used(), store.budget_bytes());
-  EXPECT_EQ(store.rows_materialized(0), 128u);
+  ASSERT_NE(store.Get(0, 0, gen), nullptr);
+  store.Put(0, 2, MakeSegment(64, 128), kStore, gen);
+  EXPECT_EQ(store.stats(kStore).evictions, 1u);
+  EXPECT_TRUE(store.Contains(0, 0, kStore));
+  EXPECT_FALSE(store.Contains(0, 1, kStore));
+  EXPECT_TRUE(store.Contains(0, 2, kStore));
+  EXPECT_LE(store.stats(kStore).bytes, store.stats(kStore).quota);
+  EXPECT_EQ(ProtectedRows(store, 0), 128u);
+  // Segmented LRU: the victim gets a second chance as probationary.
+  EXPECT_TRUE(store.Contains(0, 1, kCache));
+  EXPECT_EQ(store.Get(0, 1, gen)->GetInt64(0), 64);
 
-  // A segment larger than the whole budget is rejected silently.
-  ShadowStore tiny(8);
-  tiny.Promote(0, 0, MakeSegment(64, 0), tiny.generation());
-  EXPECT_EQ(tiny.num_segments(), 0u);
+  // ...unless the probationary class could never hold it.
+  SegmentStore no_cache(0, one_segment);
+  no_cache.Put(0, 0, MakeSegment(64, 0), kStore, no_cache.generation());
+  no_cache.Put(0, 1, MakeSegment(64, 0), kStore, no_cache.generation());
+  EXPECT_EQ(no_cache.stats(kStore).segments, 1u);
+  EXPECT_EQ(no_cache.stats(kCache).segments, 0u);
+  EXPECT_EQ(no_cache.stats(kStore).evictions, 1u);
 }
 
-TEST(ShadowStoreTest, DropBlocksFromAndClear) {
-  ShadowStore store(1 << 20);
-  store.Promote(0, 0, MakeSegment(64, 0), store.generation());
-  store.Promote(0, 1, MakeSegment(64, 64), store.generation());
-  store.Promote(1, 2, MakeSegment(32, 0), store.generation());
+TEST(SegmentStoreTest, DropBlocksAndClear) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(64, 0), kStore, gen);
+  store.Put(0, 1, MakeSegment(64, 64), kStore, gen);
+  store.Put(1, 2, MakeSegment(32, 0), kStore, gen);
+  store.Put(2, 1, MakeSegment(32, 0), kCache, gen);
+  store.Put(2, 3, MakeSegment(32, 0), kCache, gen);
 
-  store.DropBlocksFrom(1);
-  EXPECT_TRUE(store.Contains(0, 0));
-  EXPECT_FALSE(store.Contains(0, 1));
-  EXPECT_FALSE(store.Contains(1, 2));
-  EXPECT_EQ(store.rows_materialized(0), 64u);
-  EXPECT_EQ(store.rows_materialized(1), 0u);
+  store.DropBlocks(3, 4);
+  EXPECT_FALSE(store.Contains(2, 3, kCache));
+  EXPECT_TRUE(store.Contains(2, 1, kCache));
+
+  store.DropBlocks(1, UINT64_MAX);
+  EXPECT_TRUE(store.Contains(0, 0, kStore));
+  EXPECT_FALSE(store.Contains(0, 1, kStore));
+  EXPECT_FALSE(store.Contains(1, 2, kStore));
+  EXPECT_FALSE(store.Contains(2, 1, kCache));
+  EXPECT_EQ(ProtectedRows(store, 0), 64u);
+  EXPECT_EQ(ProtectedRows(store, 1), 0u);
 
   store.Clear();
-  EXPECT_EQ(store.num_segments(), 0u);
-  EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.rows_materialized(0), 0u);
+  EXPECT_EQ(store.stats(kStore).segments, 0u);
+  EXPECT_EQ(store.stats(kStore).bytes, 0u);
+  EXPECT_EQ(ProtectedRows(store, 0), 0u);
 }
 
-TEST(ShadowStoreTest, StaleGenerationPromotionsAreRejected) {
-  ShadowStore store(1 << 20);
-  uint64_t before = store.generation();
-  store.Promote(0, 0, MakeSegment(64, 0), before);
-  ASSERT_TRUE(store.Contains(0, 0));
+TEST(SegmentStoreTest, StaleGenerationIsFencedInBothClasses) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t before = store.generation();
+  store.Put(0, 0, MakeSegment(64, 0), kStore, before);
+  store.Put(1, 0, MakeSegment(64, 0), kCache, before);
+  ASSERT_TRUE(store.Contains(0, 0, kStore));
 
   // A rewrite clears the store and moves the generation: an in-flight
-  // pass that parsed the old file must not repopulate it.
+  // scan that parsed the old file must not repopulate either class...
   store.Clear();
-  EXPECT_NE(store.generation(), before);
-  store.Promote(0, 0, MakeSegment(64, 999), before);
-  EXPECT_EQ(store.num_segments(), 0u);
+  const uint64_t now = store.generation();
+  EXPECT_NE(now, before);
+  store.Put(0, 0, MakeSegment(64, 999), kStore, before);
+  store.Put(1, 0, MakeSegment(64, 999), kCache, before);
+  EXPECT_EQ(store.stats(kStore).segments, 0u);
+  EXPECT_EQ(store.stats(kCache).segments, 0u);
 
-  store.Promote(0, 0, MakeSegment(64, 7), store.generation());
-  ASSERT_TRUE(store.Contains(0, 0));
-  EXPECT_EQ(store.Get(0, 0)->GetInt64(0), 7);
+  // ...nor read segments of the new file.
+  store.Put(0, 0, MakeSegment(64, 7), kStore, now);
+  store.Put(1, 0, MakeSegment(64, 8), kCache, now);
+  std::vector<std::shared_ptr<const ColumnVector>> segs;
+  EXPECT_EQ(store.Get(1, 0, before), nullptr);
+  EXPECT_FALSE(store.GetProtectedBlock({0}, 0, before, &segs));
+  EXPECT_EQ(store.Get(0, 0, now)->GetInt64(0), 7);
+  EXPECT_EQ(store.Get(1, 0, now)->GetInt64(0), 8);
+}
+
+TEST(SegmentStoreTest, ImageHoldsOnlyTheProtectedClass) {
+  SegmentStore store(1 << 20, 1 << 20);
+  const uint64_t gen = store.generation();
+  store.Put(0, 0, MakeSegment(64, 0), kStore, gen);
+  store.Put(0, 1, MakeSegment(64, 64), kStore, gen);
+  store.Put(1, 0, MakeSegment(64, 0), kCache, gen);
+  SegmentStore::Image image = store.ExportImage();
+  ASSERT_EQ(image.segments.size(), 2u);
+  EXPECT_EQ(image.segments[0].block, 1u);  // most recent first
+
+  SegmentStore restored(1 << 20, 1 << 20);
+  EXPECT_TRUE(restored.ImportImage(image));
+  EXPECT_EQ(restored.stats(kStore).segments, 2u);
+  EXPECT_EQ(restored.stats(kCache).segments, 0u);
+  EXPECT_EQ(restored.ExportImage().segments[0].block, 1u);
+  EXPECT_FALSE(restored.ImportImage(image));  // live state wins
 }
 
 // ---------------------------------------------------------------------
@@ -220,7 +575,8 @@ TEST_F(StoreScanTest, ThirdScanIsServedEntirelyFromStore) {
   VerifyScan(&state, {0, 2}, 300, &cold);
   EXPECT_EQ(cold.rows_from_store, 0u);
   EXPECT_EQ(cold.rows_from_raw, 300u);
-  EXPECT_EQ(state.store().num_segments(), 0u);  // heat 1 < threshold 2
+  // Heat 1 < threshold 2: nothing promoted yet.
+  EXPECT_EQ(state.segments().stats(kStore).segments, 0u);
 
   // The second scan crosses the threshold: cache segments are handed
   // to the store as blocks commit (no re-parse), but serving is still
@@ -229,8 +585,8 @@ TEST_F(StoreScanTest, ThirdScanIsServedEntirelyFromStore) {
   VerifyScan(&state, {0, 2}, 300, &warm);
   EXPECT_EQ(warm.rows_from_store, 0u);
   EXPECT_EQ(warm.rows_from_cache, 300u);
-  EXPECT_EQ(state.store().rows_materialized(0), 300u);
-  EXPECT_EQ(state.store().rows_materialized(2), 300u);
+  EXPECT_EQ(ProtectedRows(state.segments(), 0), 300u);
+  EXPECT_EQ(ProtectedRows(state.segments(), 2), 300u);
 
   // Third scan: every block is materialized — no row location, no
   // tokenizing, no parsing, no raw-file I/O.
@@ -256,7 +612,7 @@ TEST_F(StoreScanTest, PromotionWithoutCacheParsesOnceThenServes) {
   ScanMetrics warm;
   VerifyScan(&state, {1}, 200, &warm);
   EXPECT_GT(warm.fields_converted, 0u);  // no cache: re-parsed once more
-  EXPECT_EQ(state.store().rows_materialized(1), 200u);
+  EXPECT_EQ(ProtectedRows(state.segments(), 1), 200u);
 
   ScanMetrics hot;
   VerifyScan(&state, {1}, 200, &hot);
@@ -276,7 +632,7 @@ TEST_F(StoreScanTest, PromotionWorksWithCacheAndStatsDisabled) {
 
   VerifyScan(&state, {1}, 200);
   VerifyScan(&state, {1}, 200);
-  EXPECT_EQ(state.store().rows_materialized(1), 200u);
+  EXPECT_EQ(ProtectedRows(state.segments(), 1), 200u);
 
   ScanMetrics hot;
   VerifyScan(&state, {1}, 200, &hot);
@@ -309,9 +665,10 @@ TEST_F(StoreScanTest, HybridPlanServesStorePrefixAndCacheTail) {
   // Materialize only the first half of the column: the scan must mix
   // store-served blocks with cache-served blocks in one pass.
   for (uint64_t block = 0; block < 5; ++block) {
-    auto seg = state.cache().Get(3, block);
+    const uint64_t gen = state.segments().generation();
+    auto seg = state.segments().Get(3, block, gen);
     ASSERT_NE(seg, nullptr);
-    state.store().Promote(3, block, seg, state.store().generation());
+    state.segments().Put(3, block, seg, kStore, gen);
   }
 
   ScanMetrics mixed;
@@ -337,9 +694,10 @@ TEST_F(StoreScanTest, TinyBudgetEvictsButResultsStayCorrect) {
                   metrics.rows_from_raw,
               640u);
   }
-  EXPECT_GT(state.store().evictions(), 0u);
-  EXPECT_LE(state.store().bytes_used(), state.store().budget_bytes());
-  EXPECT_GT(state.store().num_segments(), 0u);
+  EXPECT_GT(state.segments().stats(kStore).evictions, 0u);
+  EXPECT_LE(state.segments().stats(kStore).bytes,
+            state.segments().stats(kStore).quota);
+  EXPECT_GT(state.segments().stats(kStore).segments, 0u);
 }
 
 TEST_F(StoreScanTest, AppendKeepsPromotedPrefixAndPromotesTail) {
@@ -371,7 +729,7 @@ TEST_F(StoreScanTest, AppendKeepsPromotedPrefixAndPromotesTail) {
   };
   scan_all(nullptr, 100);
   scan_all(nullptr, 100);
-  ASSERT_EQ(state.store().rows_materialized(0), 100u);
+  ASSERT_EQ(ProtectedRows(state.segments(), 0), 100u);
 
   // Clean append of 28 rows: blocks 6 and 7 become full.
   auto app = OpenAppendableFile(path);
@@ -387,16 +745,16 @@ TEST_F(StoreScanTest, AppendKeepsPromotedPrefixAndPromotesTail) {
   EXPECT_EQ(*change, FileChange::kAppended);
 
   // The partial tail block (6) was dropped; full blocks 0-5 survive.
-  EXPECT_EQ(state.store().rows_materialized(0), 96u);
-  EXPECT_TRUE(state.store().Contains(0, 5));
-  EXPECT_FALSE(state.store().Contains(0, 6));
+  EXPECT_EQ(ProtectedRows(state.segments(), 0), 96u);
+  EXPECT_TRUE(state.segments().Contains(0, 5, kStore));
+  EXPECT_FALSE(state.segments().Contains(0, 6, kStore));
 
   // First post-append scan: prefix from the store, tail re-parsed and
   // re-promoted as its blocks fill.
   ScanMetrics after;
   scan_all(&after, 128);
   EXPECT_EQ(after.rows_from_store, 96u);
-  EXPECT_EQ(state.store().rows_materialized(0), 128u);
+  EXPECT_EQ(ProtectedRows(state.segments(), 0), 128u);
 
   ScanMetrics hot;
   scan_all(&hot, 128);
@@ -408,7 +766,7 @@ TEST_F(StoreScanTest, RewriteDropsStoreAndHeat) {
   RawTableState state(info, StoreConfig());
   VerifyScan(&state, {0, 1}, 120);
   VerifyScan(&state, {0, 1}, 120);
-  ASSERT_GT(state.store().num_segments(), 0u);
+  ASSERT_GT(state.segments().stats(kStore).segments, 0u);
   ASSERT_GE(state.stats().access_heat(0), 2u);
 
   std::string fresh;
@@ -417,7 +775,7 @@ TEST_F(StoreScanTest, RewriteDropsStoreAndHeat) {
   auto change = state.CheckForUpdates();
   ASSERT_TRUE(change.ok());
   EXPECT_EQ(*change, FileChange::kRewritten);
-  EXPECT_EQ(state.store().num_segments(), 0u);
+  EXPECT_EQ(state.segments().stats(kStore).segments, 0u);
   EXPECT_EQ(state.stats().access_heat(0), 0u);
 
   RawScanOperator scan(&state, {0, 1, 2}, nullptr);
@@ -472,7 +830,7 @@ TEST_F(StoreEngineTest, BackgroundPromotionCompletesWhatLimitScansSkip) {
   ASSERT_NE(state, nullptr);
   EXPECT_TRUE(state->map().rows_complete());
   EXPECT_EQ(state->map().known_rows(), 3000u);
-  EXPECT_EQ(state->store().rows_materialized(0), 3000u);
+  EXPECT_EQ(ProtectedRows(state->segments(), 0), 3000u);
 
   auto hot = engine.Execute("SELECT id FROM t LIMIT 10");
   ASSERT_TRUE(hot.ok());
@@ -490,8 +848,8 @@ TEST_F(StoreEngineTest, FullyMaterializedPresetLoadsOnFirstTouch) {
   engine.WaitForPromotions();
   const RawTableState* state = engine.table_state("t");
   ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->store().rows_materialized(0), 3000u);
-  EXPECT_EQ(state->store().rows_materialized(2), 3000u);
+  EXPECT_EQ(ProtectedRows(state->segments(), 0), 3000u);
+  EXPECT_EQ(ProtectedRows(state->segments(), 2), 3000u);
 
   auto second = engine.Execute("SELECT id, x FROM t WHERE x > 30");
   ASSERT_TRUE(second.ok());
@@ -522,6 +880,79 @@ TEST_F(StoreEngineTest, StoreToggleDisablesServingButKeepsResults) {
   ASSERT_TRUE(on.ok());
   EXPECT_GT(on->metrics.scan.rows_from_store, 0u);
   EXPECT_EQ(on->result.CanonicalRows(), baseline->result.CanonicalRows());
+}
+
+TEST_F(StoreEngineTest, QueriesRacingRewritesAnswerOneFileVersion) {
+  // Four clients query while the file is atomically replaced, over and
+  // over, by versions of different lengths and row widths. Every query
+  // starts on one version and must answer exactly that version's rows
+  // — or fail with the clean error of a scan that can no longer locate
+  // rows on its old file — and no stale row, chunk or segment may leak
+  // into a later version's answers.
+  struct Version {
+    std::string content;
+    std::string answer;  // "n,s" canonical row
+  };
+  std::vector<Version> versions;
+  for (int v = 0; v < 3; ++v) {
+    Version version;
+    const int64_t first = v * 100000;
+    const int64_t rows = 2000 + v * 700;
+    int64_t sum = 0;
+    for (int64_t id = first; id < first + rows; ++id) {
+      version.content += std::to_string(id) + "," + std::to_string(id % 13) +
+                         "," + std::to_string(id * 3) + "\n";
+      sum += id * 3;
+    }
+    version.answer = std::to_string(rows) + "|" + std::to_string(sum);
+    versions.push_back(std::move(version));
+  }
+  ASSERT_TRUE(WriteFileAtomic(path_, versions[0].content).ok());
+
+  NoDbConfig config;
+  config.rows_per_block = 64;
+  config.promote_after_accesses = 2;
+  NoDbEngine engine(catalog_, config);
+  const char* sql = "SELECT COUNT(*) AS n, SUM(x) AS s FROM t";
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        auto outcome = engine.Execute(sql);
+        if (!outcome.ok()) {
+          EXPECT_TRUE(outcome.status().IsIOError())
+              << outcome.status().ToString();
+          continue;
+        }
+        const QueryResult& result = outcome->result;
+        ASSERT_EQ(result.num_rows(), 1u);
+        std::string got = result.Row(0)[0].ToString() + "|" +
+                          result.Row(0)[1].ToString();
+        bool known = false;
+        for (const Version& v : versions) known = known || got == v.answer;
+        EXPECT_TRUE(known) << got;
+        ++answered;
+      }
+    });
+  }
+  for (int i = 1; i <= 30; ++i) {
+    ASSERT_TRUE(WriteFileAtomic(path_, versions[i % 3].content).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  stop = true;
+  for (auto& th : clients) th.join();
+  engine.WaitForPromotions();
+  EXPECT_GT(answered.load(), 0);
+
+  // Settled on the last version, the adapted engine answers it.
+  auto settled = engine.Execute(sql);
+  ASSERT_TRUE(settled.ok()) << settled.status().ToString();
+  EXPECT_EQ(settled->result.Row(0)[0].ToString() + "|" +
+                settled->result.Row(0)[1].ToString(),
+            versions[30 % 3].answer);
 }
 
 TEST_F(StoreEngineTest, ConcurrentPromotionStaysByteIdentical) {
@@ -572,9 +1003,10 @@ TEST_F(StoreEngineTest, ConcurrentPromotionStaysByteIdentical) {
 
   const RawTableState* state = engine.table_state("t");
   ASSERT_NE(state, nullptr);
-  EXPECT_GT(state->store().promotions(), 0u);
-  EXPECT_GT(state->store().hits(), 0u);
-  EXPECT_LE(state->store().bytes_used(), state->store().budget_bytes());
+  EXPECT_GT(state->segments().counters().promotions, 0u);
+  EXPECT_GT(state->segments().counters().block_hits, 0u);
+  EXPECT_LE(state->segments().stats(kStore).bytes,
+            state->segments().stats(kStore).quota);
 }
 
 }  // namespace

@@ -71,7 +71,8 @@ TEST_F(TableStateTest, AppendKeepsStructuresAndScansTail) {
   ASSERT_TRUE(state.Open().ok());
   EXPECT_EQ(*ScanCount(&state), 100u);
   uint64_t known_before = state.map().known_rows();
-  size_t cache_segments = state.cache().num_segments();
+  size_t cache_segments =
+      state.segments().stats(SegmentClass::kProbationary).segments;
   ASSERT_GT(cache_segments, 0u);
 
   auto app = OpenAppendableFile(path_);
@@ -85,7 +86,7 @@ TEST_F(TableStateTest, AppendKeepsStructuresAndScansTail) {
   // Old structures retained; discovery reopened for the tail.
   EXPECT_EQ(state.map().known_rows(), known_before);
   EXPECT_FALSE(state.map().rows_complete());
-  EXPECT_GT(state.cache().num_segments(), 0u);
+  EXPECT_GT(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
 
   ScanMetrics metrics;
   RawScanOperator scan(&state, {0, 1}, &metrics);
@@ -112,7 +113,7 @@ TEST_F(TableStateTest, RewriteDropsEverything) {
   ASSERT_TRUE(change.ok());
   EXPECT_EQ(*change, FileChange::kRewritten);
   EXPECT_EQ(state.map().known_rows(), 0u);
-  EXPECT_EQ(state.cache().num_segments(), 0u);
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
   EXPECT_TRUE(state.stats().CoveredAttributes().empty());
 
   RawScanOperator scan(&state, {0}, nullptr);
@@ -120,6 +121,151 @@ TEST_F(TableStateTest, RewriteDropsEverything) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 20u);
   EXPECT_EQ(result->Row(0)[0], Value::Int64(500));
+}
+
+// ---------------------------------------------------------------------
+// A scan that opened before the file changed and finishes after
+// CheckForUpdates noticed must not leave anything behind that a fresh
+// scan would trust, and still answers its own query from the old file.
+
+using Rowset = std::vector<std::vector<Value>>;
+
+/// Rows of `attr` held protected (0 when none ever were).
+uint64_t ProtectedRows(const SegmentStore& store, uint32_t attr) {
+  std::vector<uint64_t> rows = store.protected_rows();
+  return attr < rows.size() ? rows[attr] : 0;
+}
+
+/// Next() until exhausted, without the Open() QueryResult::Drain does:
+/// `op` was opened before the file changed.
+Rowset DrainOpened(ExecOperator* op) {
+  Rowset rows;
+  while (true) {
+    auto batch = op->Next();
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (!batch.ok() || *batch == nullptr) break;
+    for (size_t i = 0; i < (*batch)->num_rows(); ++i) {
+      rows.push_back((*batch)->Row(i));
+    }
+  }
+  return rows;
+}
+
+/// A fresh scan of both columns.
+Rowset FreshScan(RawTableState* state) {
+  RawScanOperator scan(state, {0, 1}, nullptr);
+  EXPECT_TRUE(scan.Open().ok());
+  return DrainOpened(&scan);
+}
+
+/// Expects rows `from`.. of Rows(): (r, 2r).
+void ExpectRows(const Rowset& rows, int64_t from, size_t count) {
+  ASSERT_EQ(rows.size(), count);
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t r = from + static_cast<int64_t>(i);
+    ASSERT_EQ(rows[i][0], Value::Int64(r)) << "row " << i;
+    ASSERT_EQ(rows[i][1], Value::Int64(r * 2)) << "row " << i;
+  }
+}
+
+TEST_F(TableStateTest, RewriteRacingACacheOnlyScanLeavesNoStaleSegments) {
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
+  RawTableState state(Info(), Config());
+  state.SetComponentFlags(/*map=*/false, /*cache=*/true, /*stats=*/false,
+                          /*store=*/false);
+  RawScanOperator stale(&state, {0, 1}, nullptr);
+  ASSERT_TRUE(stale.Open().ok());
+
+  ASSERT_TRUE(WriteFileAtomic(path_, Rows(500, 600)).ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kRewritten);
+
+  ExpectRows(DrainOpened(&stale), 0, 100);
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
+  ExpectRows(FreshScan(&state), 500, 100);
+}
+
+TEST_F(TableStateTest, RewriteRacingAMapOnlyScanLeavesNoStaleRows) {
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
+  RawTableState state(Info(), Config());
+  state.SetComponentFlags(/*map=*/true, /*cache=*/false, /*stats=*/false,
+                          /*store=*/false);
+  RawScanOperator stale(&state, {0, 1}, nullptr);
+  ASSERT_TRUE(stale.Open().ok());
+
+  // Wider rows: the old file's row offsets would cut these mid-field.
+  ASSERT_TRUE(WriteFileAtomic(path_, Rows(500, 620)).ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kRewritten);
+
+  ExpectRows(DrainOpened(&stale), 0, 100);
+  EXPECT_EQ(state.map().known_rows(), 0u);
+  EXPECT_EQ(state.map().num_chunks(), 0u);
+  ExpectRows(FreshScan(&state), 500, 120);
+}
+
+TEST_F(TableStateTest, AppendRacingAWarmScanKeepsTheNewRows) {
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
+  RawTableState state(Info(), Config());
+  ASSERT_TRUE(state.Open().ok());
+  // Two scans: map complete, blocks 0-6 promoted (block 6 is the
+  // 4-row tail of the complete index).
+  ASSERT_EQ(*ScanCount(&state), 100u);
+  ASSERT_EQ(*ScanCount(&state), 100u);
+  ASSERT_EQ(ProtectedRows(state.segments(), 0), 100u);
+  RawScanOperator stale(&state, {0, 1}, nullptr);
+  ASSERT_TRUE(stale.Open().ok());
+
+  auto app = OpenAppendableFile(path_);
+  ASSERT_TRUE(app.ok());
+  ASSERT_TRUE((*app)->Append(Rows(100, 128)).ok());
+  ASSERT_TRUE((*app)->Close().ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kAppended);
+
+  // The stale scan sees the file as it was when it opened...
+  ExpectRows(DrainOpened(&stale), 0, 100);
+  // ...without completing the index at the old size or promoting the
+  // old 4-row tail block.
+  EXPECT_FALSE(state.map().rows_complete());
+  EXPECT_FALSE(state.segments().Contains(0, 6, SegmentClass::kProtected));
+  ExpectRows(FreshScan(&state), 0, 128);
+}
+
+TEST_F(TableStateTest, AppendNoticedMidScanDoesNotTruncateTheTailBlock) {
+  NoDbConfig config = Config();
+  config.rows_per_block = 100;
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 1050)).ok());
+  RawTableState state(Info(), config);
+  state.SetComponentFlags(/*map=*/true, /*cache=*/true, /*stats=*/true,
+                          /*store=*/false);
+  ASSERT_EQ(*ScanCount(&state), 1050u);  // caches block 10: a 50-row tail
+
+  auto app = OpenAppendableFile(path_);
+  ASSERT_TRUE(app.ok());
+  ASSERT_TRUE((*app)->Append(Rows(1050, 1150)).ok());
+  ASSERT_TRUE((*app)->Close().ok());
+  // Opened after the append, before CheckForUpdates noticed it: the
+  // scan sees 1150 rows while the index is still complete at 1050, so
+  // the cached 50-row segment must not pass for block 10.
+  RawScanOperator scan(&state, {0, 1}, nullptr);
+  ASSERT_TRUE(scan.Open().ok());
+  auto first = scan.Next();  // rows 0..1023, into block 10
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ((*first)->num_rows(), 1024u);
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kAppended);
+
+  Rowset rows;
+  for (size_t i = 0; i < (*first)->num_rows(); ++i) {
+    rows.push_back((*first)->Row(i));
+  }
+  for (auto& row : DrainOpened(&scan)) rows.push_back(std::move(row));
+  ExpectRows(rows, 0, 1150);
 }
 
 TEST_F(TableStateTest, AppendWithoutTrailingNewlineIsRewrite) {

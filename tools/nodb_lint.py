@@ -34,7 +34,7 @@ generic linter cannot know:
                    #pragma once)
   include-order    contiguous runs of same-kind #include lines are
                    sorted
-  generation-tag   DropBlocksFrom / component Clear() call sites must
+  generation-tag   DropBlocks[From] / component Clear() call sites must
                    say, in a nearby comment, how stale producers are
                    fenced (the generation-tag story)
   isa-sibling      every `#if NODB_HAVE_AVX2`-style ISA-gated branch
@@ -88,7 +88,8 @@ MUTEX_MEMBER_RE = re.compile(
 NOLINT_RE = re.compile(r"NOLINT\w*")
 NOLINT_FORM_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([\w\-,. ]+\): \S")
 VOID_DISCARD_RE = re.compile(r"^\s*\(void\)\s*[\w:]+(?:\.\w+|->\w+)*\s*\(")
-DROP_CALL_RE = re.compile(r"\.\s*DropBlocksFrom\s*\(|\w+_\.\s*Clear\s*\(")
+DROP_CALL_RE = re.compile(
+    r"\.\s*DropBlocks(?:From)?\s*\(|\w+_\.\s*Clear\s*\(")
 ISA_MACRO_RE = re.compile(r"\bNODB_HAVE_[A-Z0-9_]+\b")
 INCLUDE_RE = re.compile(r'^#include\s+(["<])([^">]+)[">]')
 SPAN_CALL_RE = re.compile(r"\b(?:OpenSpan|EmitSpan|ScopedSpan)\s*\(")
@@ -333,7 +334,7 @@ def check_generation_tags(path, lines, code, problems):
         if not DROP_CALL_RE.search(line):
             continue
         # Skip declarations/definitions of the methods themselves.
-        if re.search(r"(?:void|Status)\s+\w*(?:::)?(?:DropBlocksFrom|"
+        if re.search(r"(?:void|Status)\s+\w*(?:::)?(?:DropBlocks(?:From)?|"
                      r"Clear)\s*\(", line):
             continue
         lo = max(0, i - 11)
@@ -341,7 +342,7 @@ def check_generation_tags(path, lines, code, problems):
         window = "\n".join(lines[lo:hi])
         if "generation" not in window and "Generation" not in window:
             problems.append(
-                f"{path}:{i}: [generation-tag] DropBlocksFrom/Clear "
+                f"{path}:{i}: [generation-tag] DropBlocks/Clear "
                 "call without a nearby comment on how stale producers "
                 "are fenced (generation tags / re-validation)")
 
