@@ -19,8 +19,13 @@
 // (raw), warm (cache), and store-warm (after WaitForPromotions) — and
 // every run's rows are verified byte-identical to the mode-off plan,
 // so the CSV doubles as a correctness check across all three storage
-// tiers. Exits non-zero on any mismatch, or if the 0.001-selectivity
-// zones run fails to skip at least half the blocks once warm.
+// tiers. Exits non-zero on any mismatch, if the 0.001-selectivity
+// zones run fails to skip at least half the blocks once warm, or if a
+// warm or store run of `push` or `zones` at selectivity 1.0 converts
+// any phase-2 field: when every row of a block passes, its phase-2
+// columns were parsed for the whole block and must be cached like
+// phase-1 columns. (The gate counts fields, so timing noise cannot
+// trip it.)
 //
 // Usage: selective_bench [tuples]   (default 200000; CI smoke passes
 // less)
@@ -108,6 +113,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   uint64_t warm_zone_skips_at_lowest = 0;
   uint64_t warm_zone_total_blocks = 0;
+  uint64_t warm_full_pass_phase2 = 0;
   for (double sel : selectivities) {
     uint64_t cut = static_cast<uint64_t>(static_cast<double>(tuples) * sel);
     if (cut == 0) cut = 1;
@@ -130,6 +136,10 @@ int main(int argc, char** argv) {
         if (mode.pushdown == false && run == 0) expected = rows;
         bool identical = rows == expected;
         all_identical = all_identical && identical;
+        const std::string name = mode.name;
+        if ((name == "push" || name == "zones") && run > 0 && sel == 1.0) {
+          warm_full_pass_phase2 += scan.pushdown_phase2_fields;
+        }
         if (mode.zones && run > 0 && sel == selectivities[0]) {
           warm_zone_skips_at_lowest += scan.zone_skipped_blocks;
           warm_zone_total_blocks +=
@@ -168,6 +178,15 @@ int main(int argc, char** argv) {
                  "lowest selectivity (expected >= 50%%)\n",
                  static_cast<unsigned long long>(warm_zone_skips_at_lowest),
                  static_cast<unsigned long long>(warm_zone_total_blocks));
+    return 1;
+  }
+  // Acceptance: at 100% selectivity every block passes whole, so warm
+  // runs find the phase-2 columns resident and convert none of them.
+  if (warm_full_pass_phase2 != 0) {
+    std::fprintf(stderr,
+                 "FAIL: warm push/zones runs at selectivity 1.0 converted "
+                 "%llu phase-2 fields (expected 0)\n",
+                 static_cast<unsigned long long>(warm_full_pass_phase2));
     return 1;
   }
   std::printf(

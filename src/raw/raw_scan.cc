@@ -119,16 +119,18 @@ Status RawScanOperator::Open() {
     ++metrics_->scans_using_recovered_store;
   }
 
-  // Pushdown analysis: which projection slots feed a predicate
-  // (phase 1), and which conjuncts are zone-checkable `col op lit`.
-  pred_slot_.assign(projection_.size(), false);
+  // Pushdown analysis: which projection slots parse for every row of
+  // a block (phase 1: the predicate columns, or the whole projection
+  // when nothing was pushed), and which conjuncts are zone-checkable
+  // `col op lit`.
+  phase1_slot_.assign(projection_.size(), predicates_.empty());
   zone_preds_.clear();
   for (const ExprPtr& p : predicates_) {
     std::vector<size_t> cols;
     p->CollectColumns(&cols);
     for (size_t c : cols) {
       NODB_CHECK(c < projection_.size());
-      pred_slot_[c] = true;
+      phase1_slot_[c] = true;
     }
     const auto* cmp = dynamic_cast<const CompareExpr*>(p.get());
     if (cmp == nullptr) continue;
@@ -193,20 +195,9 @@ Status RawScanOperator::Open() {
 
   row_ = 0;
   exhausted_ = false;
-  current_block_ = UINT64_MAX;
-  block_plan_.reset();
-  chunk_builder_.reset();
   window_first_ = 0;
   window_rows_ = 0;
   window_bounds_.clear();
-  block_has_building_ = false;
-  attr_states_.clear();
-  attr_states_.resize(projection_.size());
-  for (size_t i = 0; i < projection_.size(); ++i) {
-    attr_states_[i].attr = projection_[i];
-    attr_states_[i].type =
-        state_->info().schema->field(projection_[i]).type;
-  }
 
   // Header line: data rows start after it.
   header_skip_ = 0;
@@ -396,244 +387,23 @@ uint64_t RawScanOperator::CompleteRows() const {
                   : UINT64_MAX;
 }
 
-Status RawScanOperator::EnterBlock(uint64_t row) {
-  NODB_RETURN_NOT_OK(CommitBlock());
-
-  const NoDbConfig& config = state_->config();
-  const uint32_t rows_per_block = config.rows_per_block;
-  current_block_ = row / rows_per_block;
-  block_first_row_ = current_block_ * rows_per_block;
-  block_has_building_ = false;
-
-  // Resolve segment residency per attribute. A segment counts only
-  // when it provably covers the whole block (partial tail segments are
-  // rebuilt — bounded by one block of work).
-  PositionalMap& map = state_->map();
-
-  std::vector<uint32_t> probe_attrs;
-  probe_slot_.clear();
-  for (size_t i = 0; i < attr_states_.size(); ++i) {
-    AttrState& st = attr_states_[i];
-    st.building.reset();
-    st.cached = LookupSegment(st.attr, current_block_);
-    if (st.cached != nullptr) continue;
-    probe_attrs.push_back(st.attr);
-    probe_slot_.push_back(i);
-    // Zone maps piggyback on the same full-block segments the segment
-    // store and statistics build; a missing summary is worth one block
-    // of accumulation even when those components are off.
-    bool want_zone = collect_zones_ && ZoneEligibleType(st.type) &&
-                     !state_->zones().Contains(st.attr, current_block_);
-    bool hot = use_store_ && promote_attr_[i];
-    if (use_cache_ || use_stats_ || hot || want_zone) {
-      st.building = std::make_unique<ColumnVector>(st.type);
-      st.building->Reserve(rows_per_block);
-      block_has_building_ = true;
-    }
-  }
-
-  block_plan_.reset();
-  chunk_builder_.reset();
-  chunk_attrs_.clear();
-  if (use_map_ && !probe_attrs.empty()) {
-    PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-    block_plan_ = map.PrepareBlock(block_first_row_, probe_attrs);
-    if (block_plan_->generation() != map_generation_) {
-      block_plan_.reset();  // chunks of a rewritten file: tokenize blind
-    } else if (map.ShouldIndexCombination(*block_plan_)) {
-      chunk_attrs_ = probe_attrs;
-      chunk_builder_ =
-          map.StartChunk(block_first_row_, chunk_attrs_, map_generation_);
-    }
-  }
-
-  span_start_.assign(probe_attrs.size(), 0);
-  span_end_.assign(probe_attrs.size(), 0);
-  probe_identity_.resize(probe_attrs.size());
-  for (size_t j = 0; j < probe_identity_.size(); ++j) {
-    probe_identity_[j] = j;
-  }
-  probe_attrs_ = std::move(probe_attrs);
-  return Status::OK();
-}
-
-Status RawScanOperator::CommitBlock() {
-  if (current_block_ == UINT64_MAX) return Status::OK();
-  PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-  if (chunk_builder_.has_value()) {
-    if (chunk_builder_->rows() > 0) {
-      state_->map().CommitChunk(std::move(*chunk_builder_));
-    }
-    chunk_builder_.reset();
-  }
-  for (size_t i = 0; i < attr_states_.size(); ++i) {
-    AttrState& st = attr_states_[i];
-    const bool hot = use_store_ && promote_attr_[i];
-    if (st.building == nullptr || st.building->size() == 0) {
-      st.building.reset();
-      // Piggybacked promotion of the segment that served this block:
-      // it is already fully parsed, so promoting it is a class change
-      // (a no-op when it is protected already). Zone maps summarize it
-      // the same way.
-      if (st.cached != nullptr) {
-        MaybeObserveZone(st.attr, current_block_, *st.cached);
-        if (hot) InsertSegment(st.attr, current_block_, st.cached, true);
-      }
-      continue;
-    }
-    std::shared_ptr<ColumnVector> segment(st.building.release());
-    MaybeObserveZone(st.attr, current_block_, *segment);
-    if (use_stats_) {
-      state_->stats().ObserveBlock(st.attr, current_block_, *segment);
-    }
-    InsertSegment(st.attr, current_block_, std::move(segment), hot);
-  }
-  return Status::OK();
-}
+// ----------------------------------------------------------- the block loop
 
 Result<BatchPtr> RawScanOperator::Next() {
-  if (!predicates_.empty()) return NextPushdown();
-  if (exhausted_) return BatchPtr();
-
-  const uint32_t rows_per_block = state_->config().rows_per_block;
-  if (serve_store_ && row_ % rows_per_block == 0) {
-    BatchPtr staged;
-    NODB_ASSIGN_OR_RETURN(bool served,
-                          ServeStoreBlock(row_ / rows_per_block, &staged));
-    if (served) return staged;
-  }
-
-  auto out = std::make_shared<RecordBatch>(schema_);
-  size_t emitted = 0;
-  Slice line;
-
-  while (emitted < RecordBatch::kDefaultBatchRows) {
-    // A batch ends at a block boundary the store might serve whole.
-    if (serve_store_ && emitted > 0 && row_ % rows_per_block == 0) break;
-
-    uint64_t start = 0;
-    uint64_t end = 0;
-    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(row_, &start, &end));
-    if (!ok) {
-      exhausted_ = true;
-      NODB_RETURN_NOT_OK(CommitBlock());
-      current_block_ = UINT64_MAX;
-      break;
-    }
-    if (row_ / rows_per_block != current_block_) {
-      NODB_RETURN_NOT_OK(EnterBlock(row_));
-    }
-    uint64_t rel = row_ - block_first_row_;
-
-    // Read the tuple's bytes (the reader accounts physical I/O). A
-    // fully-cached block never touches the raw file at all — the
-    // paper's "eliminating the need to access hot raw data".
-    if (!probe_attrs_.empty() && end > start) {
-      NODB_RETURN_NOT_OK(
-          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
-      // CRLF line endings: the tokenizer treats a trailing '\r' as part
-      // of the terminator, so the raw record passes through untrimmed.
-    } else {
-      line = Slice();
-    }
-
-    // ---- cached attributes: copy binary values straight through.
-    for (size_t i = 0; i < attr_states_.size(); ++i) {
-      const AttrState& st = attr_states_[i];
-      if (st.cached == nullptr) continue;
-      NODB_CHECK(rel < st.cached->size());
-      out->column(i).AppendFrom(*st.cached, rel);
-    }
-
-    // ---- selective tokenizing: spans for the uncached attributes.
-    if (!probe_attrs_.empty()) {
-      NODB_RETURN_NOT_OK(TokenizeSpans(line, row_, block_plan_,
-                                       probe_attrs_, probe_identity_,
-                                       span_start_.data(),
-                                       span_end_.data(),
-                                       /*count_blind=*/true));
-    }
-
-    // ---- selective parsing/conversion of exactly those spans.
-    if (!probe_attrs_.empty()) {
-      PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t j = 0; j < probe_attrs_.size(); ++j) {
-        size_t slot = probe_slot_[j];
-        const AttrState& st = attr_states_[slot];
-        Slice raw = CsvTokenizer::RawField(line, span_start_[j],
-                                           span_end_[j] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, st.type, &out->column(slot));
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(row_) +
-              ", attribute " + std::to_string(st.attr) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-      }
-    }
-
-    // ---- NoDB side effects: teach the map, grow the block segments.
-    if (!probe_attrs_.empty() &&
-        (chunk_builder_.has_value() || block_has_building_)) {
-      PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
-      if (chunk_builder_.has_value()) {
-        chunk_builder_->AddRow(span_start_.data(), span_end_.data());
-      }
-      for (size_t j = 0; j < probe_attrs_.size(); ++j) {
-        size_t slot = probe_slot_[j];
-        AttrState& st = attr_states_[slot];
-        if (st.building != nullptr) {
-          const ColumnVector& col = out->column(slot);
-          st.building->AppendFrom(col, col.size() - 1);
-        }
-      }
-    }
-
-    // Tier attribution: a row whose every needed column came from a
-    // resident segment never touched the raw bytes (empty projections
-    // count here too); anything tokenized or parsed is a raw-tier row.
-    if (probe_attrs_.empty()) {
-      ++metrics_->rows_from_cache;
-    } else {
-      ++metrics_->rows_from_raw;
-    }
-    ++metrics_->rows_scanned;
-    ++row_;
-    ++emitted;
-  }
-
-  metrics_->io_ns += reader_->io_nanos();
-  metrics_->bytes_read += reader_->bytes_read();
-  reader_->ResetCounters();
-
-  if (emitted == 0) return BatchPtr();
-  out->SetNumRows(emitted);
-  return out;
-}
-
-// --------------------------------------------------------------- pushdown
-
-Result<BatchPtr> RawScanOperator::NextPushdown() {
-  while (!exhausted_) {
-    NODB_ASSIGN_OR_RETURN(BatchPtr batch, ProcessPushdownBlock());
-    if (batch != nullptr && batch->num_rows() > 0) {
-      metrics_->io_ns += reader_->io_nanos();
-      metrics_->bytes_read += reader_->bytes_read();
-      reader_->ResetCounters();
-      return batch;
-    }
+  BatchPtr batch;
+  while (batch == nullptr && !exhausted_) {
+    NODB_ASSIGN_OR_RETURN(batch, NextBlock());
     // A skipped or fully filtered block: keep walking. The operator
     // contract forbids empty non-final batches (drains stop on them).
+    if (batch != nullptr && batch->num_rows() == 0) batch.reset();
   }
   metrics_->io_ns += reader_->io_nanos();
   metrics_->bytes_read += reader_->bytes_read();
   reader_->ResetCounters();
-  return BatchPtr();
+  return batch;
 }
 
-Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
+Result<BatchPtr> RawScanOperator::NextBlock() {
   const uint32_t rows_per_block = state_->config().rows_per_block;
   const uint64_t block = row_ / rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
@@ -651,7 +421,7 @@ Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
     if (skip) {
       ++metrics_->zone_skipped_blocks;
       metrics_->zone_skipped_rows += block_rows;
-      row_ = first + block_rows;
+      JumpTo(first + block_rows);
       if (block_rows < rows_per_block) {
         exhausted_ = true;  // the entry was validated as the file tail
       }
@@ -665,7 +435,23 @@ Result<BatchPtr> RawScanOperator::ProcessPushdownBlock() {
     if (served) return staged;
   }
 
-  return PushdownRawBlock(block);
+  return ParseRawBlock(block);
+}
+
+void RawScanOperator::JumpTo(uint64_t row) {
+  row_ = row;
+  // The rows jumped over were never located, so read where the last
+  // one ends from the row index: should the file be rewritten later,
+  // LocateStaleRow resumes from there on this scan's own handle. A
+  // snapshot already stale leaves the cursor behind, and that
+  // fallback fails cleanly instead.
+  std::vector<uint64_t> bounds;
+  PositionalMap::RowSnapshot snap =
+      state_->map().SnapshotRows(row - 1, 1, &bounds);
+  if (snap.generation == map_generation_ && snap.rows == 1) {
+    next_row_ = row;
+    next_offset_ = bounds[1];
+  }
 }
 
 bool RawScanOperator::ZoneSkipsBlock(uint64_t block,
@@ -729,10 +515,6 @@ Result<bool> RawScanOperator::ServeStoreBlock(uint64_t block,
     state_->segments().DropBlocks(block, block + 1);
     return false;
   }
-  // The row path may have a raw block pending: commit it first.
-  NODB_RETURN_NOT_OK(CommitBlock());
-  current_block_ = UINT64_MAX;
-
   // The store's fully parsed segments are the cheapest zone-map
   // source there is — summarize any block the maps do not know yet.
   {
@@ -750,34 +532,19 @@ Result<bool> RawScanOperator::ServeStoreBlock(uint64_t block,
   for (const auto& seg : segments) {
     view.push_back(std::const_pointer_cast<ColumnVector>(seg));
   }
-  auto probe = std::make_shared<RecordBatch>(schema_, std::move(view),
-                                             rows);
-  NODB_ASSIGN_OR_RETURN(size_t passing,
-                        EvaluatePushdown(*probe, &pd_pass_));
-
-  BatchPtr out;
-  if (passing == rows) {
-    // Every row passes: hand the view out as-is — the store tier's
-    // zero-copy serving.
-    out = std::move(probe);
-  } else {
-    out = std::make_shared<RecordBatch>(schema_);
-    if (passing > 0) {
-      for (size_t c = 0; c < segments.size(); ++c) {
-        ColumnVector& dst = out->column(c);
-        dst.Reserve(passing);
-        for (size_t r = 0; r < rows; ++r) {
-          if (pd_pass_[r]) dst.AppendFrom(*segments[c], r);
-        }
-      }
-      out->SetNumRows(passing);
+  auto out = std::make_shared<RecordBatch>(schema_, view, rows);
+  NODB_ASSIGN_OR_RETURN(size_t passing, EvaluatePushdown(*out, &pass_));
+  if (passing < rows) {
+    for (size_t c = 0; c < view.size(); ++c) {
+      view[c] = OutputColumn(segments[c], rows, passing);
     }
+    out = std::make_shared<RecordBatch>(schema_, std::move(view), passing);
   }
   ++metrics_->store_block_hits;
   metrics_->rows_scanned += rows;
   metrics_->rows_from_store += rows;
   metrics_->pushdown_rows_pruned += rows - passing;
-  row_ = first + rows;
+  JumpTo(first + rows);
   if (rows < rows_per_block) exhausted_ = true;  // validated tail
   *staged = std::move(out);
   return true;
@@ -786,6 +553,7 @@ Result<bool> RawScanOperator::ServeStoreBlock(uint64_t block,
 Result<size_t> RawScanOperator::EvaluatePushdown(
     const RecordBatch& batch, std::vector<char>* pass) const {
   const size_t n = batch.num_rows();
+  if (predicates_.empty()) return n;
   pass->assign(n, 1);
   size_t passing = n;
   for (const ExprPtr& predicate : predicates_) {
@@ -861,15 +629,68 @@ Status RawScanOperator::TokenizeSpans(
   return Status::OK();
 }
 
-Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
+std::shared_ptr<ColumnVector> RawScanOperator::OutputColumn(
+    const std::shared_ptr<const ColumnVector>& segment, size_t rows,
+    size_t passing) const {
+  if (passing == rows && segment->size() == rows) {
+    return std::const_pointer_cast<ColumnVector>(segment);
+  }
+  auto column = std::make_shared<ColumnVector>(segment->type());
+  column->Reserve(passing);
+  for (size_t r = 0; r < rows; ++r) {
+    if (passing == rows || pass_[r]) column->AppendFrom(*segment, r);
+  }
+  return column;
+}
+
+Status RawScanOperator::ReadRow(size_t r, Slice* line) {
+  const auto [start, end] = row_spans_[r];
+  if (end <= start) {
+    *line = Slice();
+    return Status::OK();
+  }
+  return reader_->ReadAt(start, static_cast<size_t>(end - start), line);
+}
+
+Status RawScanOperator::ConvertField(Slice line, uint32_t start,
+                                     uint32_t end, size_t slot,
+                                     uint64_t row, ColumnVector* out) {
+  Slice raw = CsvTokenizer::RawField(line, start, end + 1);
+  Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
+  Status s = ValueParser::ParseInto(text, out->type(), out);
+  if (!s.ok()) {
+    return Status::ParseError(table_name_ + ": row " + std::to_string(row) +
+                              ", attribute " +
+                              std::to_string(projection_[slot]) + ": " +
+                              s.message());
+  }
+  ++metrics_->fields_converted;
+  return Status::OK();
+}
+
+Result<BatchPtr> RawScanOperator::ParseRawBlock(uint64_t block) {
   const NoDbConfig& config = state_->config();
   const uint32_t rows_per_block = config.rows_per_block;
   const uint64_t first = block * uint64_t{rows_per_block};
   PositionalMap& map = state_->map();
 
+  // Locate the block's first row before probing anything: past the end
+  // of the file there is no block to look up.
+  row_spans_.clear();
+  {
+    uint64_t start = 0;
+    uint64_t end = 0;
+    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(first, &start, &end));
+    if (!ok) {
+      exhausted_ = true;
+      return BatchPtr();
+    }
+    row_spans_.emplace_back(start, end);
+  }
+
   // ---- resolve segment residency and split the probes into phases:
-  // predicate columns parse for every row (phase 1), the rest only for
-  // qualifying rows (phase 2).
+  // phase-1 columns parse for every row, the rest only for qualifying
+  // rows (phase 2).
   const size_t n_slots = projection_.size();
   std::vector<std::shared_ptr<const ColumnVector>> cached(n_slots);
   std::vector<std::shared_ptr<ColumnVector>> built(n_slots);
@@ -880,9 +701,9 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
     uint32_t attr = projection_[i];
     cached[i] = LookupSegment(attr, block);
     if (cached[i] != nullptr) continue;
-    if (pred_slot_[i]) {
+    built[i] = std::make_shared<ColumnVector>(schema_->field(i).type);
+    if (phase1_slot_[i]) {
       p1_idx.push_back(probe_attrs.size());
-      built[i] = std::make_shared<ColumnVector>(attr_states_[i].type);
       built[i]->Reserve(rows_per_block);
     } else {
       p2_idx.push_back(probe_attrs.size());
@@ -910,24 +731,22 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   }
 
   // ---- phase 1: locate every row of the block, tokenize and convert
-  // only the predicate columns.
-  pd_bounds_.clear();
+  // the phase-1 columns. A block whose columns are all resident reads
+  // no row bytes — the paper's "eliminating the need to access hot raw
+  // data".
   std::vector<uint32_t> p1_starts(p1_idx.size());
   std::vector<uint32_t> p1_ends(p1_idx.size());
   Slice line;
   for (uint64_t r = first; r < first + rows_per_block; ++r) {
-    uint64_t start = 0;
-    uint64_t end = 0;
-    NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
-    if (!ok) break;
-    pd_bounds_.emplace_back(start, end);
-    if (p1_idx.empty()) continue;
-    if (end > start) {
-      NODB_RETURN_NOT_OK(
-          reader_->ReadAt(start, static_cast<size_t>(end - start), &line));
-    } else {
-      line = Slice();
+    if (r > first) {
+      uint64_t start = 0;
+      uint64_t end = 0;
+      NODB_ASSIGN_OR_RETURN(bool ok, LocateRow(r, &start, &end));
+      if (!ok) break;
+      row_spans_.emplace_back(start, end);
     }
+    if (p1_idx.empty()) continue;
+    NODB_RETURN_NOT_OK(ReadRow(r - first, &line));
     NODB_RETURN_NOT_OK(TokenizeSpans(line, r, plan, probe_attrs, p1_idx,
                                      p1_starts.data(), p1_ends.data(),
                                      /*count_blind=*/true));
@@ -935,19 +754,8 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       PhaseTimer timer(&metrics_->convert_ns, reader_.get());
       for (size_t k = 0; k < p1_idx.size(); ++k) {
         size_t slot = probe_slots[p1_idx[k]];
-        Slice raw =
-            CsvTokenizer::RawField(line, p1_starts[k], p1_ends[k] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, attr_states_[slot].type,
-                                          built[slot].get());
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(r) +
-              ", attribute " + std::to_string(projection_[slot]) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-        ++metrics_->pushdown_phase1_fields;
+        NODB_RETURN_NOT_OK(ConvertField(line, p1_starts[k], p1_ends[k],
+                                        slot, r, built[slot].get()));
       }
     }
     if (chunk.has_value()) {
@@ -955,94 +763,59 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       chunk->AddRow(p1_starts.data(), p1_ends.data());
     }
   }
-  const size_t rows = pd_bounds_.size();
-  if (rows == 0) {
-    exhausted_ = true;
-    return BatchPtr();
+  const size_t rows = row_spans_.size();
+  if (!predicates_.empty()) {
+    metrics_->pushdown_phase1_fields += rows * p1_idx.size();
   }
 
-  // ---- vectorize the conjuncts over the partial batch. Slots no
-  // predicate references hold empty placeholder columns.
-  size_t passing = 0;
-  {
-    std::vector<std::shared_ptr<ColumnVector>> columns(n_slots);
-    for (size_t i = 0; i < n_slots; ++i) {
-      if (built[i] != nullptr) {
-        columns[i] = built[i];
-      } else if (pred_slot_[i] && cached[i] != nullptr) {
-        NODB_CHECK(cached[i]->size() >= rows);
-        columns[i] = std::const_pointer_cast<ColumnVector>(cached[i]);
-      } else {
-        columns[i] =
-            std::make_shared<ColumnVector>(attr_states_[i].type);
-      }
+  // ---- vectorize the conjuncts over the partial batch. Phase-2 slots
+  // hold empty (or resident) columns no predicate references.
+  std::vector<std::shared_ptr<ColumnVector>> columns(n_slots);
+  for (size_t i = 0; i < n_slots; ++i) {
+    if (built[i] != nullptr) {
+      columns[i] = built[i];
+    } else {
+      NODB_CHECK(cached[i]->size() >= rows);
+      columns[i] = std::const_pointer_cast<ColumnVector>(cached[i]);
     }
-    RecordBatch probe(schema_, std::move(columns), rows);
-    NODB_ASSIGN_OR_RETURN(passing, EvaluatePushdown(probe, &pd_pass_));
   }
+  NODB_ASSIGN_OR_RETURN(
+      size_t passing,
+      EvaluatePushdown(RecordBatch(schema_, columns, rows), &pass_));
+  // Every row passes: phase 2 parses whole columns too.
+  const bool whole = passing == rows;
 
   // ---- phase 2: qualifying rows only — tokenize/convert the
-  // remaining columns and form the output tuples (the paper's
-  // selective tuple formation, now predicate-aware).
-  auto out = std::make_shared<RecordBatch>(schema_);
+  // remaining columns (the paper's selective tuple formation, now
+  // predicate-aware).
   std::vector<uint32_t> p2_starts(p2_idx.size());
   std::vector<uint32_t> p2_ends(p2_idx.size());
-  if (passing > 0) {
-    for (size_t i = 0; i < n_slots; ++i) out->column(i).Reserve(passing);
+  if (passing > 0 && !p2_idx.empty()) {
+    for (size_t j : p2_idx) built[probe_slots[j]]->Reserve(passing);
     for (size_t r = 0; r < rows; ++r) {
-      if (!pd_pass_[r]) continue;
-      if (!p2_idx.empty()) {
-        uint64_t start = pd_bounds_[r].first;
-        uint64_t end = pd_bounds_[r].second;
-        if (end > start) {
-          NODB_RETURN_NOT_OK(reader_->ReadAt(
-              start, static_cast<size_t>(end - start), &line));
-        } else {
-          line = Slice();
-        }
-        // Blind-row attribution happened in phase 1 (when predicate
-        // columns probed) — count here only when phase 2 is the row's
-        // first tokenize pass.
-        NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan,
-                                         probe_attrs, p2_idx,
-                                         p2_starts.data(), p2_ends.data(),
-                                         /*count_blind=*/p1_idx.empty()));
-      }
-      size_t k2 = 0;
+      if (!whole && !pass_[r]) continue;
+      NODB_RETURN_NOT_OK(ReadRow(r, &line));
+      // Blind-row attribution happened in phase 1 (when phase-1
+      // columns probed) — count here only when phase 2 is the row's
+      // first tokenize pass.
+      NODB_RETURN_NOT_OK(TokenizeSpans(line, first + r, plan, probe_attrs,
+                                       p2_idx, p2_starts.data(),
+                                       p2_ends.data(),
+                                       /*count_blind=*/p1_idx.empty()));
       PhaseTimer timer(&metrics_->convert_ns, reader_.get());
-      for (size_t i = 0; i < n_slots; ++i) {
-        if (built[i] != nullptr) {
-          out->column(i).AppendFrom(*built[i], r);
-          continue;
-        }
-        if (cached[i] != nullptr) {
-          NODB_CHECK(r < cached[i]->size());
-          out->column(i).AppendFrom(*cached[i], r);
-          continue;
-        }
-        Slice raw =
-            CsvTokenizer::RawField(line, p2_starts[k2], p2_ends[k2] + 1);
-        Slice text = tokenizer_.DecodeField(raw, &decode_scratch_);
-        Status s = ValueParser::ParseInto(text, attr_states_[i].type,
-                                          &out->column(i));
-        if (!s.ok()) {
-          return Status::ParseError(
-              table_name_ + ": row " + std::to_string(first + r) +
-              ", attribute " + std::to_string(projection_[i]) + ": " +
-              s.message());
-        }
-        ++metrics_->fields_converted;
-        ++metrics_->pushdown_phase2_fields;
-        ++k2;
+      for (size_t k = 0; k < p2_idx.size(); ++k) {
+        size_t slot = probe_slots[p2_idx[k]];
+        NODB_RETURN_NOT_OK(ConvertField(line, p2_starts[k], p2_ends[k],
+                                        slot, first + r, built[slot].get()));
       }
     }
-    out->SetNumRows(passing);
+    metrics_->pushdown_phase2_fields += passing * p2_idx.size();
   }
 
-  // ---- side effects: phase-1 columns covered the whole block, so
-  // they feed the map, segment store, statistics and zone maps exactly
-  // like a predicate-free scan's segments; phase-2 columns were only
-  // parsed for qualifying rows and teach nothing.
+  // ---- side effects: every column parsed for the whole block — phase
+  // 1 always, phase 2 when every row passed — feeds the segment store,
+  // statistics and zone maps; phase-2 columns of a partly passing block
+  // teach nothing. Only phase-1 spans were recorded for the map.
   {
     PhaseTimer timer(&metrics_->nodb_ns, reader_.get());
     if (chunk.has_value() && chunk->rows() > 0) {
@@ -1052,16 +825,25 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
       uint32_t attr = projection_[i];
       const bool hot = use_store_ && promote_attr_[i];
       if (built[i] != nullptr) {
+        if (!whole && !phase1_slot_[i]) continue;
         MaybeObserveZone(attr, block, *built[i]);
         if (use_stats_) {
           state_->stats().ObserveBlock(attr, block, *built[i]);
         }
         InsertSegment(attr, block, built[i], hot);
-      } else if (cached[i] != nullptr) {
+      } else {
         MaybeObserveZone(attr, block, *cached[i]);
         if (hot) InsertSegment(attr, block, cached[i], true);
       }
     }
+  }
+
+  // ---- form the output: a fully passing block is emitted as views of
+  // its built and resident segments; otherwise the qualifying rows are
+  // copied out (phase-2 columns already hold exactly those).
+  for (size_t i = 0; i < n_slots; ++i) {
+    if (built[i] != nullptr && !phase1_slot_[i]) continue;
+    columns[i] = OutputColumn(columns[i], rows, passing);
   }
 
   metrics_->rows_scanned += rows;
@@ -1073,7 +855,7 @@ Result<BatchPtr> RawScanOperator::PushdownRawBlock(uint64_t block) {
   }
   row_ = first + rows;
   if (rows < rows_per_block) exhausted_ = true;  // end of file
-  return out;
+  return std::make_shared<RecordBatch>(schema_, std::move(columns), passing);
 }
 
 }  // namespace nodb

@@ -17,35 +17,40 @@ namespace nodb {
 /// The in-situ scan operator — PostgresRaw's replacement for the leaf
 /// of a conventional query plan (paper §3).
 ///
-/// For every tuple it:
-///   1. locates the tuple's byte range (from the positional map's row
-///      index when known, otherwise by scanning for the newline and
-///      teaching the map);
-///   2. serves each requested attribute from the segment store when the
-///      block segment is resident (in either class);
-///   3. otherwise finds the attribute's span: exactly from a positional
-///      map chunk, or by tokenizing from the nearest map anchor — never
-///      past the last requested attribute (*selective tokenizing*);
-///   4. converts only those spans to binary (*selective parsing*) and
-///      emits batches containing only the requested columns
-///      (*selective tuple formation* together with the columnar
-///      filter);
-///   5. as side effects populates the map (per the distance policy),
-///      the segment store and the statistics for the touched blocks:
-///      one insert per (attribute, block), probationary — or, for
-///      attributes whose access heat crossed the promotion threshold,
-///      protected (piggybacked promotion: the scan that parsed a hot
-///      column pays for it exactly once; a resident probationary
-///      segment is promoted in place).
+/// The scan works one row-block at a time, and every batch it emits is
+/// (the qualifying rows of) exactly one block. A predicate-free scan is
+/// the same loop with no pushed conjuncts. Per block it:
+///   1. skips the block outright when a zone map proves it disjoint
+///      from a pushed range/equality conjunct;
+///   2. else serves it whole from the segment store when every needed
+///      column is protected there — zero-copy views of the segments,
+///      with no row location, map lookup, tokenizing or parsing;
+///   3. else locates every row of the block (from the positional map's
+///      row index when known, otherwise by scanning for newlines and
+///      teaching the map), takes each needed column from a resident
+///      segment (either class) when there is one, and for the others
+///      finds spans — exactly from a map chunk, or by tokenizing from
+///      the nearest map anchor, never past the last needed attribute
+///      (*selective tokenizing*) — and converts only those spans
+///      (*selective parsing*). Phase-1 columns (the pushed conjuncts'
+///      columns, or the whole projection when nothing was pushed)
+///      parse for every row; the conjuncts vectorize over them; the
+///      remaining (phase-2) columns parse for qualifying rows only;
+///   4. feeds every column it parsed for the whole block to the segment
+///      store, the statistics and the zone maps — one insert per
+///      (attribute, block), probationary, or protected for attributes
+///      whose access heat crossed the promotion threshold (piggybacked
+///      promotion; a resident probationary segment is promoted in
+///      place) — and records the phase-1 spans as a map chunk (per the
+///      distance policy);
+///   5. emits a block all of whose rows pass as views of its built and
+///      resident segments; a partly passing block's rows are copied out
+///      (*selective tuple formation*).
 ///
-/// The scan builds a **hybrid block plan**: blocks all of whose needed
-/// columns are protected in the segment store are emitted whole, as
-/// zero-copy views of the segments — no row location, no positional-map
-/// lookup, no tokenizing, no value parsing — while the remaining
-/// blocks take the raw/cache path above, and the two interleave
-/// freely. Results are byte-identical either way. Store serving
-/// requires the positional-map component (the raw residue relies on
-/// it to locate rows after a served block).
+/// Raw-parsed, cache-served and store-served blocks interleave freely
+/// and results are byte-identical either way. Store serving and zone
+/// skipping require the positional-map component (the raw residue
+/// relies on it to locate rows after a served or skipped block).
 ///
 /// All NoDB structures honor the per-table NoDbConfig; with everything
 /// disabled this operator *is* the paper's "Baseline" external-files
@@ -62,10 +67,10 @@ namespace nodb {
 /// per block it snapshots the published row bounds (SnapshotRows) and
 /// pins a chunk plan (PrepareBlock), then locates, tokenizes and
 /// parses rows without any locking; finished segments and chunks are
-/// published in short exclusive sections at block commit. Only the
-/// undiscovered tail serializes (the map's discovery baton) — queries
-/// never wait on each other's parsing, only on publication of rows
-/// nobody has walked yet.
+/// published in short exclusive sections at the end of the block. Only
+/// the undiscovered tail serializes (the map's discovery baton) —
+/// queries never wait on each other's parsing, only on publication of
+/// rows nobody has walked yet.
 class RawScanOperator final : public ExecOperator {
  public:
   /// `projection`: table attribute indices to emit, ascending. May be
@@ -95,22 +100,12 @@ class RawScanOperator final : public ExecOperator {
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
 
  private:
-  /// Per-needed-attribute working state for the current block.
-  struct AttrState {
-    uint32_t attr = 0;
-    DataType type = DataType::kInt64;
-    std::shared_ptr<const ColumnVector> cached;  // resident segment
-    std::unique_ptr<ColumnVector> building;      // segment/stats segment
-  };
-
-  Status EnterBlock(uint64_t row);
-  Status CommitBlock();
   Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
 
   /// The file was rewritten since Open: locates rows privately (as with
   /// the map off) on this scan's handle from the end of the last row it
-  /// located; after a jump (a served or skipped block) that end is
-  /// unknown and the scan fails with an IOError.
+  /// located or jumped past (see JumpTo); when that end is unknown the
+  /// scan fails with an IOError.
   Result<bool> LocateStaleRow(uint64_t row, uint64_t* start, uint64_t* end);
 
   /// The one lookup per (attr, block): a resident segment that provably
@@ -133,27 +128,47 @@ class RawScanOperator final : public ExecOperator {
     double lit_d = 0;
   };
 
-  /// ---- pushdown path (predicates_ non-empty). One call processes
-  /// exactly one row-block: zone-skips it, serves it from the store,
-  /// or runs the two-phase raw/cache parse — and returns the block's
-  /// qualifying rows (possibly an empty batch; nullptr only for a
-  /// skipped block).
-  Result<BatchPtr> NextPushdown();
-  Result<BatchPtr> ProcessPushdownBlock();
+  /// One call processes exactly one row-block: zone-skips it, serves
+  /// it from the store, or parses it raw/from resident segments — and
+  /// returns the block's qualifying rows (possibly an empty batch;
+  /// nullptr for a skipped block or past the end of the file).
+  Result<BatchPtr> NextBlock();
   bool ZoneSkipsBlock(uint64_t block, uint64_t* rows_in_block) const;
-  Result<BatchPtr> PushdownRawBlock(uint64_t block);
+  Result<BatchPtr> ParseRawBlock(uint64_t block);
 
-  /// Both paths: serves `block` whole as a zero-copy view of its
-  /// protected segments, filtered by the pushed conjuncts if any, after
-  /// the serve-time validation: all attributes must agree on the row
+  /// Serves `block` whole as a zero-copy view of its protected
+  /// segments, filtered by the pushed conjuncts if any, after the
+  /// serve-time validation: all attributes must agree on the row
   /// count, and a short segment must match the completed row index
   /// *right now* (a stale pre-append tail fails, is evicted, and the
   /// block re-parses raw). False when the block is not served.
   Result<bool> ServeStoreBlock(uint64_t block, BatchPtr* staged);
 
+  /// Moves the cursor to `row` past a served or skipped block, taking
+  /// the end of the last row jumped over from the map's row index (if
+  /// it still describes this scan's file) for LocateStaleRow.
+  void JumpTo(uint64_t row);
+
+  /// The output column for `segment`'s rows [0, rows) of which
+  /// `passing` pass (per pass_ unless all do): `segment` itself when
+  /// it holds exactly all of them, else a copy.
+  std::shared_ptr<ColumnVector> OutputColumn(
+      const std::shared_ptr<const ColumnVector>& segment, size_t rows,
+      size_t passing) const;
+
+  /// Reads row `r` of the current block (bounds in row_spans_).
+  Status ReadRow(size_t r, Slice* line);
+
+  /// Decodes and converts the field at [start, end] of `line` into
+  /// `out`, reporting a parse error against table `row` and the
+  /// attribute of projection `slot`.
+  Status ConvertField(Slice line, uint32_t start, uint32_t end, size_t slot,
+                      uint64_t row, ColumnVector* out);
+
   /// Evaluates every pushed conjunct over `batch`, folding SQL
   /// three-valued logic to keep/drop (NULL drops). Fills `pass`
-  /// (size = batch rows) and returns the number of qualifying rows.
+  /// (size = batch rows) and returns the number of qualifying rows;
+  /// with no conjuncts every row passes and `pass` is left untouched.
   Result<size_t> EvaluatePushdown(const RecordBatch& batch,
                                   std::vector<char>* pass) const;
 
@@ -209,9 +224,9 @@ class RawScanOperator final : public ExecOperator {
   uint64_t map_generation_ = 0;      // ditto, for the positional map
   uint64_t zone_generation_ = 0;     // ditto, for the zone maps
 
-  // Predicate pushdown (empty = legacy row-at-a-time path).
+  // Predicate pushdown (empty = no conjuncts: every slot is phase 1).
   std::vector<ExprPtr> predicates_;
-  std::vector<bool> pred_slot_;          // projection slot is phase-1
+  std::vector<bool> phase1_slot_;  // slot parses for every row of a block
   std::vector<ZonePredicate> zone_preds_;  // zone-checkable conjuncts
 
   uint64_t row_ = 0;
@@ -230,27 +245,13 @@ class RawScanOperator final : public ExecOperator {
 
   std::vector<bool> promote_attr_;  // projection slot is promotion-hot
 
-  // Current block state.
-  uint64_t current_block_ = UINT64_MAX;
-  uint64_t block_first_row_ = 0;
-  bool block_has_building_ = false;  // some attr accumulates a segment
-  std::vector<AttrState> attr_states_;
-  std::optional<PositionalMap::BlockPlan> block_plan_;
-  std::optional<PositionalMap::ChunkBuilder> chunk_builder_;
-  std::vector<uint32_t> probe_attrs_;  // attrs not served by a segment
-  std::vector<size_t> probe_slot_;     // probe j -> attr_states_ index
-  std::vector<size_t> probe_identity_;  // 0..n-1, TokenizeSpans subset
-  std::vector<uint32_t> chunk_attrs_;  // attrs recorded in the builder
-
-  // Reused per-row scratch.
-  std::vector<uint32_t> starts_;
-  std::vector<uint32_t> span_start_;  // per projection slot
-  std::vector<uint32_t> span_end_;
+  // Reused scratch.
+  std::vector<uint32_t> starts_;  // per-row field starts (tokenizer)
   std::string decode_scratch_;
 
-  // Reused per-block pushdown scratch.
-  std::vector<std::pair<uint64_t, uint64_t>> pd_bounds_;  // row byte spans
-  std::vector<char> pd_pass_;
+  // Reused per-block scratch.
+  std::vector<std::pair<uint64_t, uint64_t>> row_spans_;  // [start, end)
+  std::vector<char> pass_;  // row passes the pushed conjuncts
 };
 
 }  // namespace nodb

@@ -8,6 +8,26 @@
 
 namespace nodb {
 
+namespace {
+
+/// std::lower_bound over an ascending array, without branches on the
+/// comparisons: low-cardinality columns probe the KMV sketch with the
+/// same few hashes over and over, and a branchy search mispredicts on
+/// nearly every step.
+size_t LowerBound(const std::vector<uint64_t>& sorted, uint64_t key) {
+  if (sorted.empty()) return 0;
+  const uint64_t* base = sorted.data();
+  size_t n = sorted.size();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] < key ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - sorted.data()) + (*base < key ? 1 : 0);
+}
+
+}  // namespace
+
 AttributeStats::AttributeStats(DataType type) : type_(type) {
   numeric_sample_.reserve(kReservoirSize);
   if (type == DataType::kString) string_sample_.reserve(kReservoirSize);
@@ -69,12 +89,14 @@ void AttributeStats::Observe(const ColumnVector& column) {
       hash = MixHash64(static_cast<uint64_t>(bits));
       Sample(v, nullptr);
     }
-    // KMV sketch: keep the k smallest hashes.
-    if (kmv_.size() < kKmvSize) {
-      kmv_.insert(hash);
-    } else if (hash < *kmv_.rbegin()) {
-      kmv_.insert(hash);
-      if (kmv_.size() > kKmvSize) kmv_.erase(std::prev(kmv_.end()));
+    // KMV sketch: keep the k smallest distinct hashes.
+    if (kmv_.size() < kKmvSize || hash < kmv_.back()) {
+      auto it = kmv_.begin() + static_cast<std::ptrdiff_t>(
+                                   LowerBound(kmv_, hash));
+      if (it == kmv_.end() || *it != hash) {
+        kmv_.insert(it, hash);
+        if (kmv_.size() > kKmvSize) kmv_.pop_back();
+      }
     }
   }
 }
@@ -91,7 +113,7 @@ double AttributeStats::EstimateDistinctLocked() const {
   // sketches (kth-minimum of 0 or denormal) would divide by zero or
   // blow up to inf; fall back on the sketch size, which is a valid
   // lower bound.
-  double kth = static_cast<double>(*kmv_.rbegin()) /
+  double kth = static_cast<double>(kmv_.back()) /
                static_cast<double>(UINT64_MAX);
   if (kth <= 0) return static_cast<double>(kmv_.size());
   double estimate = (static_cast<double>(kKmvSize) - 1.0) / kth;
@@ -122,9 +144,10 @@ bool AttributeStats::ImportImage(Image image) {
   nulls_ = image.nulls;
   if (image.has_min) min_ = image.min;
   if (image.has_max) max_ = image.max;
-  kmv_.clear();
-  kmv_.insert(image.kmv.begin(), image.kmv.end());
-  while (kmv_.size() > kKmvSize) kmv_.erase(std::prev(kmv_.end()));
+  kmv_ = std::move(image.kmv);
+  std::sort(kmv_.begin(), kmv_.end());
+  kmv_.erase(std::unique(kmv_.begin(), kmv_.end()), kmv_.end());
+  if (kmv_.size() > kKmvSize) kmv_.resize(kKmvSize);
   numeric_sample_ = std::move(image.numeric_sample);
   if (numeric_sample_.size() > kReservoirSize) {
     numeric_sample_.resize(kReservoirSize);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -124,7 +123,8 @@ class AttributeStats {
   uint64_t nulls_ GUARDED_BY(mu_) = 0;
   std::optional<double> min_ GUARDED_BY(mu_);
   std::optional<double> max_ GUARDED_BY(mu_);
-  std::set<uint64_t> kmv_ GUARDED_BY(mu_);  // k smallest value hashes
+  // The k smallest distinct value hashes, ascending.
+  std::vector<uint64_t> kmv_ GUARDED_BY(mu_);
   std::vector<double> numeric_sample_ GUARDED_BY(mu_);
   std::vector<std::string> string_sample_ GUARDED_BY(mu_);
   uint64_t sampled_stream_ GUARDED_BY(mu_) = 0;  // reservoir index

@@ -176,6 +176,36 @@ TEST_F(RawScanTest, WarmCacheSkipsFileEntirely) {
   EXPECT_EQ(warm.fields_converted, 0u);
 }
 
+TEST_F(RawScanTest, WarmCachedBlocksAreEmittedAsSegmentViews) {
+  auto info = WriteFixture("t", 300, 6);  // 4 full blocks + a 44-row tail
+  NoDbConfig config = SmallBlocks(true, true, false);
+  config.enable_store = false;  // probationary segments only
+  RawTableState state(info, config);
+  VerifyScan(&state, {1, 2}, 300);
+
+  // Each batch is one block, and a block whose columns are all
+  // resident hands out the segments themselves, not copies.
+  RawScanOperator scan(&state, {1, 2}, nullptr);
+  ASSERT_TRUE(scan.Open().ok());
+  const uint64_t generation = state.segments().generation();
+  uint64_t block = 0;
+  while (true) {
+    auto batch = scan.Next();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (*batch == nullptr) break;
+    EXPECT_EQ((*batch)->num_rows(), block < 4 ? 64u : 44u);
+    for (size_t i = 0; i < 2; ++i) {
+      auto segment = state.segments().Get(static_cast<uint32_t>(i + 1),
+                                          block, generation);
+      ASSERT_NE(segment, nullptr) << "block " << block;
+      EXPECT_EQ((*batch)->column_ptr(i).get(), segment.get())
+          << "block " << block << " column " << i;
+    }
+    ++block;
+  }
+  EXPECT_EQ(block, 5u);
+}
+
 TEST_F(RawScanTest, PartialCacheServesSubsetOfAttributes) {
   auto info = WriteFixture("t", 200, 8);
   RawTableState state(info, SmallBlocks(true, true, false));
@@ -728,6 +758,9 @@ TEST_F(RawScanTest, PushdownMatchesFilterOperatorAndSkipsBlocks) {
     EXPECT_EQ(metrics.zone_skipped_blocks, 6u);
     EXPECT_EQ(metrics.rows_scanned + metrics.zone_skipped_rows, 500u);
     EXPECT_EQ(metrics.pushdown_phase1_fields, 0u);  // cache-served
+    // Block 0 passed whole on the cold run, so its c3 column was cached
+    // too; only block 1's 36 qualifying rows (64..99) parse c3.
+    EXPECT_EQ(metrics.pushdown_phase2_fields, 36u);
   }
 
   // Pushdown off the same way the planner would leave it: identical.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "raw/stats_collector.h"
@@ -53,6 +54,22 @@ TEST(AttributeStatsTest, DistinctEstimateWithinBandWhenLarge) {
   // KMV with k=256 has ~1/sqrt(k) ≈ 6% relative error; allow 25%.
   EXPECT_GT(est, kTrueNdv * 0.75);
   EXPECT_LT(est, kTrueNdv * 1.25);
+
+  // The sketch holds exactly k distinct hashes, ascending; an imported
+  // image is normalized back to that shape whatever its order.
+  AttributeStats::Image image = stats.ExportImage();
+  ASSERT_EQ(image.kmv.size(), AttributeStats::kKmvSize);
+  EXPECT_TRUE(std::is_sorted(image.kmv.begin(), image.kmv.end()));
+  EXPECT_EQ(std::adjacent_find(image.kmv.begin(), image.kmv.end()),
+            image.kmv.end());
+  AttributeStats::Image shuffled = image;
+  std::reverse(shuffled.kmv.begin(), shuffled.kmv.end());
+  shuffled.kmv.push_back(image.kmv.front());  // a duplicate
+  shuffled.kmv.push_back(UINT64_MAX);         // one too many
+  AttributeStats restored(DataType::kInt64);
+  ASSERT_TRUE(restored.ImportImage(shuffled));
+  EXPECT_EQ(restored.ExportImage().kmv, image.kmv);
+  EXPECT_DOUBLE_EQ(restored.EstimateDistinct(), est);
 }
 
 TEST(AttributeStatsTest, CompareSelectivityFromSample) {

@@ -206,6 +206,39 @@ TEST_F(TableStateTest, RewriteRacingAMapOnlyScanLeavesNoStaleRows) {
   ExpectRows(FreshScan(&state), 500, 120);
 }
 
+TEST_F(TableStateTest, RewriteAfterAStoreServedBlockFinishesOnTheOldFile) {
+  ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
+  RawTableState state(Info(), Config());
+  ASSERT_TRUE(state.Open().ok());
+  // Two scans: map complete, every block promoted.
+  ASSERT_EQ(*ScanCount(&state), 100u);
+  ASSERT_EQ(*ScanCount(&state), 100u);
+  ASSERT_EQ(ProtectedRows(state.segments(), 0), 100u);
+
+  ScanMetrics metrics;
+  RawScanOperator stale(&state, {0, 1}, &metrics);
+  ASSERT_TRUE(stale.Open().ok());
+  auto first = stale.Next();  // block 0, served from the store
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ((*first)->num_rows(), 16u);
+  ASSERT_EQ(metrics.rows_from_store, 16u);
+
+  // The scan never located a row of block 0, yet must resume right
+  // after it on its own handle to the old file.
+  ASSERT_TRUE(WriteFileAtomic(path_, Rows(500, 620)).ok());
+  auto change = state.CheckForUpdates();
+  ASSERT_TRUE(change.ok());
+  ASSERT_EQ(*change, FileChange::kRewritten);
+
+  Rowset rows;
+  for (size_t i = 0; i < (*first)->num_rows(); ++i) {
+    rows.push_back((*first)->Row(i));
+  }
+  for (auto& row : DrainOpened(&stale)) rows.push_back(std::move(row));
+  ExpectRows(rows, 0, 100);
+  ExpectRows(FreshScan(&state), 500, 120);
+}
+
 TEST_F(TableStateTest, AppendRacingAWarmScanKeepsTheNewRows) {
   ASSERT_TRUE(WriteStringToFile(path_, Rows(0, 100)).ok());
   RawTableState state(Info(), Config());
@@ -250,20 +283,24 @@ TEST_F(TableStateTest, AppendNoticedMidScanDoesNotTruncateTheTailBlock) {
   ASSERT_TRUE((*app)->Close().ok());
   // Opened after the append, before CheckForUpdates noticed it: the
   // scan sees 1150 rows while the index is still complete at 1050, so
-  // the cached 50-row segment must not pass for block 10.
+  // the cached 50-row segment must not pass for block 10. The append is
+  // noticed between blocks 9 and 10 (each batch is one block).
   RawScanOperator scan(&state, {0, 1}, nullptr);
   ASSERT_TRUE(scan.Open().ok());
-  auto first = scan.Next();  // rows 0..1023, into block 10
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_EQ((*first)->num_rows(), 1024u);
+  Rowset rows;
+  for (int block = 0; block < 10; ++block) {
+    auto batch = scan.Next();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_NE(*batch, nullptr);
+    ASSERT_EQ((*batch)->num_rows(), 100u);
+    for (size_t i = 0; i < (*batch)->num_rows(); ++i) {
+      rows.push_back((*batch)->Row(i));
+    }
+  }
   auto change = state.CheckForUpdates();
   ASSERT_TRUE(change.ok());
   ASSERT_EQ(*change, FileChange::kAppended);
 
-  Rowset rows;
-  for (size_t i = 0; i < (*first)->num_rows(); ++i) {
-    rows.push_back((*first)->Row(i));
-  }
   for (auto& row : DrainOpened(&scan)) rows.push_back(std::move(row));
   ExpectRows(rows, 0, 1150);
 }
