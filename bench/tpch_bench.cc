@@ -5,6 +5,15 @@
 // Q6-shaped and a join query on every engine. Conventional engines pay
 // their load first; PostgresRaw is measured cold (first touch) and
 // warm (adapted). Cross-engine row counts are verified to agree.
+//
+// Hard gates (non-zero exit): the structural-scan speedup, cross-engine
+// row identity, the {scalar, SIMD} x {1, 2, 8}-thread identity sweep,
+// the warm tracing overhead, and first-touch coverage — a fresh
+// threaded engine's cold run of every query (at least 2 workers, even
+// on one core) must parse no row from the raw file itself
+// (scan.rows_from_raw == 0), proving the parallel first touch committed
+// every block that query's scan needs. The coverage gate checks a
+// count, so timing noise cannot fail it.
 
 #include <algorithm>
 #include <cstdio>
@@ -96,9 +105,9 @@ int main(int argc, char** argv) {
   NoDbConfig nostore_config;
   nostore_config.enable_store = false;
   NoDbEngine raw_nostore(catalog, nostore_config, "PostgresRaw.nostore");
-  // Before/after for the parallel chunked first-touch scan: same
-  // engine, same queries, but a cold table's first query pre-builds
-  // the NoDB structures with one worker per hardware core.
+  // Before/after for the parallel first touch: same engine, same
+  // queries, but a cold table's first query pre-builds the NoDB
+  // structures with one worker per hardware core.
   NoDbConfig par_config;
   par_config.num_threads = 0;  // 0 = one thread per core
   NoDbEngine raw_par(catalog, par_config, "PostgresRaw.par");
@@ -110,6 +119,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(ThreadPool::DefaultThreadCount()));
 
   bool all_match = true;
+  bool first_touch_covered = true;
   // Data-to-query, like for like: each query's first (cold) PostgresRaw
   // run against PostgreSQL's load plus its run of the same query.
   int64_t raw_cold_total_ns = 0;
@@ -140,6 +150,24 @@ int main(int argc, char** argv) {
         par_cold.result.CanonicalRows() == conv.result.CanonicalRows() &&
         scalar_cold.result.CanonicalRows() == conv.result.CanonicalRows();
     all_match = all_match && match;
+    {
+      // Raw.par.cold above is cold only for the tables no earlier query
+      // touched; the coverage gate needs every table cold.
+      NoDbConfig touch_config;
+      touch_config.num_threads = std::max<uint32_t>(
+          2, static_cast<uint32_t>(ThreadPool::DefaultThreadCount()));
+      NoDbEngine touch(catalog, touch_config, "PostgresRaw.touch");
+      auto first = CheckOk(touch.Execute(q.sql), q.name);
+      all_match = all_match && first.result.CanonicalRows() ==
+                                   conv.result.CanonicalRows();
+      if (first.metrics.scan.rows_from_raw != 0) {
+        first_touch_covered = false;
+        std::fprintf(stderr, "%s: threaded cold run parsed %llu raw rows\n",
+                     q.name,
+                     static_cast<unsigned long long>(
+                         first.metrics.scan.rows_from_raw));
+      }
+    }
     raw_cold_total_ns += cold.metrics.total_ns;
     pg_total_ns += conv.metrics.total_ns;
     std::printf("%-24s %12s %12s %12s %12s %12s %12s  %-5s %llu/%llu/%llu\n",
@@ -189,6 +217,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cross-engine row sets diverged\n");
     return 1;
   }
+  if (!first_touch_covered) {
+    std::fprintf(stderr,
+                 "FAIL: the parallel first touch left blocks to the "
+                 "threaded engine's cold runs\n");
+    return 1;
+  }
+  std::printf(
+      "first-touch coverage: every threaded cold run parsed 0 raw rows\n");
 
   // Tracing overhead gate: the warm path (everything adapted, store
   // serving) is where per-span bookkeeping would hurt, so measure it

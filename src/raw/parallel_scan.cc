@@ -1,14 +1,13 @@
 #include "raw/parallel_scan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "csv/tokenizer.h"
-#include "csv/value_parser.h"
 #include "io/buffered_reader.h"
+#include "raw/raw_scan.h"
 #include "simd/simd.h"
 #include "simd/structural_index.h"
 #include "util/thread_pool.h"
@@ -17,212 +16,69 @@ namespace nodb {
 
 namespace {
 
-/// Everything one worker learns about its byte chunk. Spans and values
-/// are kept in file order so the merge can replay them as if a single
-/// sequential scan had produced them.
-struct Fragment {
-  std::vector<uint64_t> row_starts;  // absolute offsets of owned rows
-  // Row-relative field spans, rows * attrs entries, attr-major per row
-  // (the layout ChunkBuilder::AddRow consumes).
-  std::vector<uint32_t> span_starts;
-  std::vector<uint32_t> span_ends;
-  // Parsed values per requested attribute, parallel to `attrs`.
-  std::vector<std::unique_ptr<ColumnVector>> columns;
-  uint64_t end_cursor = 0;  // discovery cursor after the last owned row
-
-  // First failure, if any. `error_suffix` is the serial scan's message
-  // minus its "<table>: row <N>" prefix — the global row number is only
-  // known at merge time.
-  Status io_status;
-  bool parse_failed = false;
-  uint64_t error_row = 0;  // chunk-local
-  std::string error_suffix;
+/// The rows starting in one newline-aligned byte range.
+struct RangeRows {
+  std::vector<uint64_t> starts;  // absolute offsets, file order
+  uint64_t end_cursor = 0;       // one past the last row's terminator
+  Status status;
 };
 
-/// Scans one newline-aligned chunk [begin, end): every row *starting*
-/// in the range is discovered, tokenized and (optionally) parsed.
-///
-/// Two-stage structural parse: the chunk is consumed in slabs of up to
-/// `read_buffer_bytes`; stage 1 classifies each slab's bytes into
-/// sorted delimiter/newline/quote position lists with the configured
-/// SIMD tier (simd/structural_index.h), stage 2 walks those lists to
-/// cut rows and fields. A row containing a quote byte falls back to the
-/// serial quote-aware tokenizer, so quoting semantics stay identical.
-/// With `enable_simd = false` the same walk runs over scalar-built
-/// lists — one code path, byte-identical output at every tier.
-void ScanChunk(const RawTableState& state,
-               std::shared_ptr<RandomAccessFile> file,
-               const std::vector<uint32_t>& attrs, bool parse_values,
-               uint64_t begin, uint64_t end, Fragment* frag) {
-  BufferedReader reader(std::move(file), state.config().read_buffer_bytes);
-  const simd::SimdLevel level =
-      simd::LevelFor(state.config().enable_simd);
-  const CsvTokenizer tokenizer(state.info().dialect, level);
-  const simd::StructuralIndexer indexer(state.info().dialect, level,
-                                        /*want_fields=*/!attrs.empty());
-  const bool quoting = state.info().dialect.allow_quoting;
-  const Schema& schema = *state.info().schema;
-
-  if (parse_values) {
-    frag->columns.reserve(attrs.size());
-    for (uint32_t attr : attrs) {
-      frag->columns.push_back(
-          std::make_unique<ColumnVector>(schema.field(attr).type));
-    }
-  }
-
-  const uint32_t max_attr = attrs.empty() ? 0 : attrs.back();
-  std::vector<uint32_t> starts(max_attr + 2, 0);
-  std::string scratch;
+/// Discovers every row starting in [begin, end). The range is read in
+/// slabs of up to `read_buffer_bytes` whose newlines the structural
+/// indexer lists; a slab that ends mid-row is re-read from that row's
+/// start, and one holding no complete row grows until it reaches a
+/// newline or the range end. An unterminated final row of the file is
+/// closed at end of file, as the serial scan's FindNewline closes it.
+void DiscoverRange(const RawTableState& state,
+                   std::shared_ptr<RandomAccessFile> file, uint64_t begin,
+                   uint64_t end, RangeRows* out) {
+  const size_t buffer_bytes = state.config().read_buffer_bytes;
+  BufferedReader reader(std::move(file), buffer_bytes);
+  const simd::StructuralIndexer indexer(
+      state.info().dialect, simd::LevelFor(state.config().enable_simd),
+      /*want_fields=*/false);
   simd::StructuralIndex index;
 
   uint64_t offset = begin;
-  frag->end_cursor = begin;
+  out->end_cursor = begin;
   while (offset < end) {
-    // Stage 1: read the next slab and index its structural bytes. A
-    // slab that ends mid-row is re-read from that row's start next
-    // iteration; one holding no complete row grows until it reaches a
-    // newline or the chunk end (ReadAt extends its buffer as needed).
-    size_t want = static_cast<size_t>(std::min<uint64_t>(
-        end - offset, state.config().read_buffer_bytes));
+    size_t want =
+        static_cast<size_t>(std::min<uint64_t>(end - offset, buffer_bytes));
     Slice slab;
     while (true) {
-      Status rs = reader.ReadAt(offset, want, &slab);
-      if (!rs.ok()) {
-        frag->io_status = rs;
-        return;
+      out->status = reader.ReadAt(offset, want, &slab);
+      if (out->status.ok() && slab.size() < want) {
+        out->status = Status::IOError(state.info().path + " shrank");
       }
+      if (!out->status.ok()) return;
       indexer.Index(slab.data(), slab.size(), offset, &index);
       if (!index.newlines.empty() || offset + slab.size() >= end) break;
       want = static_cast<size_t>(std::min<uint64_t>(end - offset, want * 2));
     }
-
-    // Stage 2: walk the newline list, cutting one row per entry. All
-    // cursors advance monotonically; the slab's bytes stay valid until
-    // the next ReadAt.
-    const uint32_t slab_size = static_cast<uint32_t>(slab.size());
-    size_t newline_cursor = 0;
-    size_t delim_cursor = 0;
-    size_t quote_cursor = 0;
-    uint32_t row_rel = 0;  // slab-relative start of the current row
-    while (true) {
-      uint32_t line_end_rel;
-      if (newline_cursor < index.newlines.size()) {
-        line_end_rel = index.newlines[newline_cursor++];
-      } else if (offset + slab_size >= end && row_rel < slab_size) {
-        line_end_rel = slab_size;  // final row of the file, unterminated
-      } else {
-        break;  // no full row left in the slab
-      }
-
-      frag->row_starts.push_back(offset + row_rel);
-      frag->end_cursor = offset + line_end_rel + 1;
-
-      if (!attrs.empty()) {
-        const Slice line(slab.data() + row_rel, line_end_rel - row_rel);
-        uint32_t high;
-        bool row_has_quote = false;
-        if (quoting) {
-          while (quote_cursor < index.quotes.size() &&
-                 index.quotes[quote_cursor] < row_rel) {
-            ++quote_cursor;
-          }
-          row_has_quote = quote_cursor < index.quotes.size() &&
-                          index.quotes[quote_cursor] < line_end_rel;
-        }
-        if (row_has_quote) {
-          high = tokenizer.ScanStarts(line, 0, 0, max_attr + 1,
-                                      starts.data());
-        } else {
-          // CRLF tolerance at the record level, as in ScanStarts: a
-          // trailing '\r' belongs to the terminator, so the field
-          // cutter must never see a delimiter hiding inside it.
-          uint32_t stripped = static_cast<uint32_t>(line.size());
-          if (stripped > 0 && line[stripped - 1] == '\r') --stripped;
-          high = simd::StructuralFieldStarts(index.delims, &delim_cursor,
-                                             row_rel, row_rel + stripped,
-                                             max_attr + 1, starts.data());
-        }
-        if (high < max_attr + 1) {
-          // The serial scan reports the first requested attribute the
-          // row cannot satisfy.
-          uint32_t missing = max_attr;
-          for (uint32_t attr : attrs) {
-            if (attr >= high) {
-              missing = attr;
-              break;
-            }
-          }
-          frag->parse_failed = true;
-          frag->error_row = frag->row_starts.size() - 1;
-          frag->error_suffix =
-              " has " + std::to_string(high) + " fields, attribute " +
-              std::to_string(missing) + " requested (file " +
-              state.info().path + ")";
-          return;
-        }
-
-        for (size_t j = 0; j < attrs.size(); ++j) {
-          const uint32_t attr = attrs[j];
-          frag->span_starts.push_back(starts[attr]);
-          frag->span_ends.push_back(starts[attr + 1] - 1);
-          if (!parse_values) continue;
-          Slice raw =
-              CsvTokenizer::RawField(line, starts[attr], starts[attr + 1]);
-          Slice text = tokenizer.DecodeField(raw, &scratch);
-          Status ps = ValueParser::ParseInto(text, schema.field(attr).type,
-                                             frag->columns[j].get());
-          if (!ps.ok()) {
-            frag->parse_failed = true;
-            frag->error_row = frag->row_starts.size() - 1;
-            frag->error_suffix =
-                ", attribute " + std::to_string(attr) + ": " + ps.message();
-            return;
-          }
-        }
-      }
-
-      row_rel = line_end_rel + 1;
-      if (row_rel >= slab_size) break;
+    const uint64_t slab_end = offset + slab.size();
+    uint64_t row = offset;
+    for (uint32_t newline : index.newlines) {
+      out->starts.push_back(row);
+      row = offset + newline + 1;
     }
-    offset += row_rel;
+    if (slab_end >= end && row < slab_end) {
+      out->starts.push_back(row);  // final row of the file, unterminated
+      row = slab_end + 1;
+    }
+    out->end_cursor = row;
+    offset = row;
   }
 }
 
-}  // namespace
-
-Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
-                                              std::vector<uint32_t> attrs,
-                                              uint32_t num_threads) {
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-  for (uint32_t attr : attrs) {
-    if (attr >= state->info().schema->num_fields()) {
-      return Status::InvalidArgument(
-          "parallel scan: attribute " + std::to_string(attr) +
-          " out of range for table " + state->info().name);
-    }
-  }
-
-  if (state->file() == nullptr) {
-    NODB_RETURN_NOT_OK(state->Open());
-  }
-  const NoDbConfig& config = state->config();
-  const ComponentFlags flags = state->component_flags();
-  const bool use_map = flags.map;
-  const bool use_cache = flags.cache;
-  const bool use_stats = flags.stats;
-  const bool use_zones = config.enable_zone_maps;
-  const bool parse_values =
-      (use_cache || use_stats || use_zones) && !attrs.empty();
-  // Generations first, then the one file handle every worker reads: a
-  // rewrite after this point drops this pass's publications.
+/// Step 1: discovers the data rows on `num_ranges` newline-aligned byte
+/// ranges in parallel and publishes the whole row index at once.
+Status DiscoverRowIndex(RawTableState* state, ThreadPool* pool,
+                        uint64_t num_ranges) {
+  // The generation before the file handle: a rewrite after this point
+  // drops the publication.
   const uint64_t map_generation = state->map().generation();
-  const uint64_t segment_generation = state->segments().generation();
-  const uint64_t zone_generation = state->zones().generation();
   const std::shared_ptr<RandomAccessFile> file = state->file();
-
-  BufferedReader reader(file, config.read_buffer_bytes);
+  BufferedReader reader(file, state->config().read_buffer_bytes);
   NODB_RETURN_NOT_OK(reader.Refresh());
   const uint64_t file_size = reader.file_size();
 
@@ -235,171 +91,94 @@ Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
     data_begin = std::min<uint64_t>(header_end + 1, file_size);
   }
 
-  ParallelScanStats out;
-  out.threads = std::max<uint32_t>(1, num_threads);
-
-  if (data_begin >= file_size) {
-    if (use_map && state->map().known_rows() == 0) {
-      state->map().PublishRowIndex({}, data_begin, file_size,
-                                   map_generation);
-    }
-    return out;
-  }
-
-  // Newline-aligned chunk boundaries: chunk i owns every row whose
-  // start offset falls in [bounds[i], bounds[i+1]). With quoting
-  // enabled a raw '\n' may sit inside a field, so boundary alignment
-  // could split a record mid-quote: collapse to one chunk — a serial
-  // walk that still builds every structure through the same merge.
+  // Range i owns every row whose start falls in [bounds[i],
+  // bounds[i+1]). A target inside the previous boundary's row yields an
+  // empty range at that boundary; later targets still split normally.
   const uint64_t data_size = file_size - data_begin;
-  const uint64_t num_chunks =
-      state->info().dialect.allow_quoting
-          ? 1
-          : std::max<uint64_t>(1, std::min<uint64_t>(out.threads, data_size));
-  std::vector<uint64_t> bounds;
-  bounds.push_back(data_begin);
-  for (uint64_t i = 1; i < num_chunks; ++i) {
-    uint64_t target = data_begin + data_size * i / num_chunks;
-    // A target inside the previous boundary's row yields an empty
-    // chunk at that boundary; later targets still split normally.
+  num_ranges = std::max<uint64_t>(1, std::min(num_ranges, data_size));
+  std::vector<uint64_t> bounds{data_begin};
+  for (uint64_t i = 1; i < num_ranges; ++i) {
+    const uint64_t target = data_begin + data_size * i / num_ranges;
     uint64_t aligned = bounds.back();
     if (target > bounds.back()) {
       // First row start at or after `target`: one past the first
       // newline at offset >= target - 1.
-      uint64_t nl = 0;
-      Status s = reader.FindNewline(target - 1, &nl);
+      uint64_t newline = 0;
+      Status s = reader.FindNewline(target - 1, &newline);
       if (!s.ok() && !s.IsOutOfRange()) return s;
-      aligned = std::min<uint64_t>(nl + 1, file_size);
+      aligned = std::min<uint64_t>(newline + 1, file_size);
     }
-    bounds.push_back(std::max<uint64_t>(aligned, bounds.back()));
+    bounds.push_back(std::max(aligned, bounds.back()));
   }
   bounds.push_back(file_size);
-  out.byte_chunks = bounds.size() - 1;
 
-  // Fork: one fragment per chunk, scanned by the pool.
-  std::vector<Fragment> frags(bounds.size() - 1);
-  {
-    ThreadPool pool(out.threads);
-    const RawTableState& cstate = *state;
-    ParallelFor(&pool, frags.size(), [&](size_t i) {
-      ScanChunk(cstate, file, attrs, parse_values, bounds[i], bounds[i + 1],
-                &frags[i]);
-    });
+  std::vector<RangeRows> ranges(bounds.size() - 1);
+  ParallelFor(pool, ranges.size(), [&](size_t i) {
+    DiscoverRange(*state, file, bounds[i], bounds[i + 1], &ranges[i]);
+  });
+
+  // The cursor is one past the last row's end, taken from the last
+  // range that owns rows (trailing ranges can be empty).
+  uint64_t cursor = data_begin;
+  std::vector<uint64_t> starts;
+  for (const RangeRows& range : ranges) {
+    NODB_RETURN_NOT_OK(range.status);
+    if (range.starts.empty()) continue;
+    starts.insert(starts.end(), range.starts.begin(), range.starts.end());
+    cursor = range.end_cursor;
   }
+  // Under the baton, so a concurrent serial scan cannot extend the index
+  // underneath the publication: it waits at its first undiscovered row
+  // and then finds the whole file published at once.
+  PositionalMap::Discovery baton(&state->map(), map_generation);
+  state->map().PublishRowIndex(std::move(starts), cursor, file_size,
+                               map_generation);
+  return Status::OK();
+}
 
-  // Join, part 1: surface the earliest failure exactly as the serial
-  // scan would, leaving the state untouched.
-  uint64_t total_rows = 0;
-  for (const Fragment& frag : frags) {
-    if (!frag.io_status.ok()) return frag.io_status;
-    if (frag.parse_failed) {
-      return Status::ParseError(
-          state->info().name + ": row " +
-          std::to_string(total_rows + frag.error_row) + frag.error_suffix);
-    }
-    total_rows += frag.row_starts.size();
-  }
-  out.rows = total_rows;
+}  // namespace
 
-  // Join, part 2: replay the fragments in file order, committing one
-  // row-block at a time — the same order and granularity the serial
-  // scan uses, so map chunks, segments, statistics and their LRU
-  // recency come out identical.
-  //
-  // The merge holds the map's discovery baton so a concurrent serial
-  // query cannot extend the row index underneath it: such queries wait
-  // at their first undiscovered row and then find the whole file
-  // published at once. Readers of already-published state never block.
-  PositionalMap& map = state->map();
-  PositionalMap::Discovery merge_baton(&map, map_generation);
-  if (use_map && map.known_rows() == 0 && !map.rows_complete()) {
-    // The discovery cursor must be one past the last row's end — taken
-    // from the last fragment that actually owns rows (trailing chunks
-    // can be empty when boundary targets land inside one row).
-    uint64_t cursor = data_begin;
-    std::vector<uint64_t> row_starts;
-    row_starts.reserve(total_rows);
-    for (const Fragment& frag : frags) {
-      row_starts.insert(row_starts.end(), frag.row_starts.begin(),
-                        frag.row_starts.end());
-      if (!frag.row_starts.empty()) cursor = frag.end_cursor;
-    }
-    map.PublishRowIndex(std::move(row_starts), cursor, file_size,
-                        map_generation);
-  }
-
-  const uint32_t rows_per_block = config.rows_per_block;
-  const size_t num_attrs = attrs.size();
-  std::vector<std::unique_ptr<ColumnVector>> building(num_attrs);
-  std::optional<PositionalMap::ChunkBuilder> builder;
-
-  auto commit_block = [&](uint64_t block) {
-    if (builder.has_value()) {
-      if (builder->rows() > 0) map.CommitChunk(std::move(*builder));
-      builder.reset();
-    }
-    for (size_t j = 0; j < num_attrs; ++j) {
-      if (building[j] == nullptr || building[j]->size() == 0) {
-        building[j].reset();
-        continue;
-      }
-      std::shared_ptr<ColumnVector> segment(building[j].release());
-      if (use_zones) {
-        // First-touch pass over the whole file: every block's segment
-        // provably covers it (the final partial block is the tail of
-        // the just-published complete row index).
-        bool covers = segment->size() >= rows_per_block ||
-                      block * uint64_t{rows_per_block} + segment->size() ==
-                          map.CompleteRows(file_size);
-        if (covers) {
-          state->zones().Observe(attrs[j], block, *segment,
-                                 zone_generation);
-        }
-      }
-      if (use_stats) {
-        state->stats().ObserveBlock(attrs[j], block, *segment);
-      }
-      if (use_cache) {
-        state->segments().Put(attrs[j], block, std::move(segment),
-                              SegmentClass::kProbationary,
-                              segment_generation);
-      }
-    }
-  };
-
-  uint64_t row = 0;
-  for (const Fragment& frag : frags) {
-    for (size_t r = 0; r < frag.row_starts.size(); ++r, ++row) {
-      if (row % rows_per_block == 0) {
-        if (row > 0) commit_block(row / rows_per_block - 1);
-        if (use_map && !attrs.empty()) {
-          PositionalMap::BlockPlan plan = map.PrepareBlock(row, attrs);
-          if (map.ShouldIndexCombination(plan)) {
-            builder = map.StartChunk(row, attrs, map_generation);
-          }
-        }
-        if (parse_values) {
-          for (size_t j = 0; j < num_attrs; ++j) {
-            building[j] = std::make_unique<ColumnVector>(
-                state->info().schema->field(attrs[j]).type);
-            building[j]->Reserve(rows_per_block);
-          }
-        }
-      }
-      if (builder.has_value()) {
-        builder->AddRow(&frag.span_starts[r * num_attrs],
-                        &frag.span_ends[r * num_attrs]);
-      }
-      if (parse_values) {
-        for (size_t j = 0; j < num_attrs; ++j) {
-          building[j]->AppendFrom(*frag.columns[j], r);
-        }
-      }
+Status ParallelFirstTouch(RawTableState* state, std::vector<uint32_t> attrs,
+                          uint32_t num_threads) {
+  std::sort(attrs.begin(), attrs.end());
+  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+  for (uint32_t attr : attrs) {
+    if (attr >= state->info().schema->num_fields()) {
+      return Status::InvalidArgument(
+          "parallel first touch: attribute " + std::to_string(attr) +
+          " out of range for table " + state->info().name);
     }
   }
-  if (row > 0) commit_block((row - 1) / rows_per_block);
+  if (!state->component_flags().map) return Status::OK();
+  if (state->file() == nullptr) {
+    NODB_RETURN_NOT_OK(state->Open());
+  }
 
-  return out;
+  const uint32_t threads = std::max<uint32_t>(1, num_threads);
+  ThreadPool pool(threads);
+  if (state->map().known_rows() == 0 && !state->map().rows_complete()) {
+    NODB_RETURN_NOT_OK(DiscoverRowIndex(state, &pool, threads));
+  }
+  if (attrs.empty()) return Status::OK();
+
+  // Step 2: every worker drains row-blocks through its own scan until
+  // one comes back as the last (or past the end), or any block fails.
+  std::atomic<uint64_t> next_block{0};
+  std::atomic<bool> failed{false};
+  std::vector<Status> outcomes(threads);
+  ParallelFor(&pool, threads, [&](size_t worker) {
+    RawScanOperator scan(state, attrs, nullptr, /*internal=*/true);
+    Status& status = outcomes[worker];
+    status = scan.Open();
+    for (bool more = true; status.ok() && more && !failed;) {
+      Result<bool> block = scan.ScanBlock(next_block++);
+      status = block.status();
+      more = block.ok() && *block;
+    }
+    if (!status.ok()) failed = true;
+  });
+  for (const Status& status : outcomes) NODB_RETURN_NOT_OK(status);
+  return Status::OK();
 }
 
 }  // namespace nodb

@@ -5,44 +5,30 @@
 #include <vector>
 
 #include "raw/table_state.h"
-#include "util/result.h"
+#include "util/status.h"
 
 namespace nodb {
 
-/// Outcome of a parallel chunked scan (for benches and tests).
-struct ParallelScanStats {
-  uint64_t rows = 0;          ///< data rows discovered
-  uint64_t byte_chunks = 0;   ///< newline-aligned file chunks scanned
-  uint64_t threads = 0;       ///< pool size used
-};
-
-/// Parallel first-touch scan: builds the table's NoDB structures — row
-/// index, positional-map chunks, probationary segments and statistics
-/// for `attrs` — in one multi-threaded pass over the raw file.
+/// Parallel first touch: builds the table's NoDB structures for
+/// `attrs` with `num_threads` workers, in two steps.
+///   1. Row discovery (cold index only): each worker lists the newlines
+///      of one newline-aligned byte range with the SIMD structural
+///      indexer, and the row starts are published at once
+///      (PositionalMap::PublishRowIndex) under the discovery baton.
+///      Rows are cut on raw '\n' like the serial scan cuts them, so
+///      quoted files need no special case.
+///   2. Row-blocks: each worker drains block numbers from a shared
+///      counter through its own internal RawScanOperator::ScanBlock, so
+///      every map chunk, segment, statistic and zone entry is committed
+///      by the serial scan's block loop.
 ///
-/// The file's data region is partitioned into `num_threads`
-/// newline-aligned byte chunks; a worker per chunk discovers tuple
-/// boundaries, tokenizes and parses exactly the requested attributes
-/// (selective tokenizing/parsing, as the serial scan would), and
-/// accumulates a local fragment. Fragments are then merged on the
-/// calling thread *in file order*, so the resulting PositionalMap,
-/// SegmentStore and StatsCollector contents — and therefore all query
-/// results — are byte-identical to what the serial RawScanOperator
-/// produces, for any thread count.
-///
-/// Honors the per-component enable flags of the state's NoDbConfig:
-/// disabled structures are not populated. `attrs` must be table
-/// attribute indices (they are sorted and deduplicated internally) and
-/// may be empty, in which case only tuple boundaries are discovered.
-///
-/// Mutates nothing on failure: a malformed row surfaces the same
-/// ParseError the serial scan would raise, with the state untouched.
-/// Intended for a *cold* table (no known rows, empty cache); the
-/// engine's adaptive serial path remains the one that refines warm
-/// state.
-Result<ParallelScanStats> ParallelChunkedScan(RawTableState* state,
-                                              std::vector<uint32_t> attrs,
-                                              uint32_t num_threads);
+/// A no-op without the positional-map component: blocks are addressed
+/// through the row index. Best effort: a failing block stays
+/// uncommitted and the first failure is returned; other blocks stay
+/// committed. Statistics fold in block-completion order, so their
+/// sketches (never query results) may differ from a serial scan's.
+Status ParallelFirstTouch(RawTableState* state, std::vector<uint32_t> attrs,
+                          uint32_t num_threads);
 
 }  // namespace nodb
 

@@ -94,7 +94,7 @@ class PositionalMap {
   /// Replaces an *empty* row index in one publication: `starts` holds
   /// every row start in file order, `cursor` is one past the last
   /// row's end, and the index is marked complete for `file_size`
-  /// bytes. The parallel first-touch scan merges through this so
+  /// bytes. The parallel first touch publishes through this so
   /// concurrent readers never observe a half-built index. No-op when
   /// rows were already published or `generation` is stale.
   void PublishRowIndex(std::vector<uint64_t> starts, uint64_t cursor,

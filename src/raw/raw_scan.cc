@@ -397,10 +397,28 @@ Result<BatchPtr> RawScanOperator::Next() {
     // contract forbids empty non-final batches (drains stop on them).
     if (batch != nullptr && batch->num_rows() == 0) batch.reset();
   }
+  FlushReaderCounters();
+  return batch;
+}
+
+Result<bool> RawScanOperator::ScanBlock(uint64_t block) {
+  if (!use_map_) {
+    return Status::InvalidArgument(
+        table_name_ + ": block " + std::to_string(block) +
+        " requested from a scan not locating rows through the row index");
+  }
+  row_ = block * uint64_t{state_->config().rows_per_block};
+  exhausted_ = false;
+  Result<BatchPtr> batch = NextBlock();
+  FlushReaderCounters();
+  NODB_RETURN_NOT_OK(batch.status());
+  return !exhausted_ && row_ < CompleteRows();
+}
+
+void RawScanOperator::FlushReaderCounters() {
   metrics_->io_ns += reader_->io_nanos();
   metrics_->bytes_read += reader_->bytes_read();
   reader_->ResetCounters();
-  return batch;
 }
 
 Result<BatchPtr> RawScanOperator::NextBlock() {

@@ -76,9 +76,10 @@ class RawScanOperator final : public ExecOperator {
   /// `projection`: table attribute indices to emit, ascending. May be
   /// empty (COUNT(*) plans): rows are located but nothing is parsed.
   /// `metrics` (optional) receives the scan's cost breakdown.
-  /// `internal`: an engine-internal pass (the store promoter) — it
-  /// does not record attribute accesses, so usage counts and promotion
-  /// heat keep meaning "scans the workload requested".
+  /// `internal`: an engine-internal pass (store promoter, parallel
+  /// first touch) — it does not record attribute accesses, so usage
+  /// counts and promotion heat keep meaning "scans the workload
+  /// requested".
   RawScanOperator(RawTableState* state, std::vector<uint32_t> projection,
                   ScanMetrics* metrics, bool internal = false);
 
@@ -98,6 +99,17 @@ class RawScanOperator final : public ExecOperator {
   Status Open() override;
   Result<BatchPtr> Next() override;
   std::shared_ptr<Schema> output_schema() const override { return schema_; }
+
+  /// Runs the block loop for exactly row-block `block`, committing its
+  /// side effects and dropping its rows — the parallel first touch's
+  /// unit of work (raw/parallel_scan.h); blocks may come in any order.
+  /// True while blocks may follow; false once `block` is the last one
+  /// or past the end of the file. Needs rows located through the row
+  /// index: with the map off at Open, or after LocateStaleRow fell back
+  /// to private location, rows would come from the scan's cursor
+  /// instead of the block, so every such call fails and publishes
+  /// nothing.
+  Result<bool> ScanBlock(uint64_t block);
 
  private:
   Result<bool> LocateRow(uint64_t row, uint64_t* start, uint64_t* end);
@@ -135,6 +147,9 @@ class RawScanOperator final : public ExecOperator {
   Result<BatchPtr> NextBlock();
   bool ZoneSkipsBlock(uint64_t block, uint64_t* rows_in_block) const;
   Result<BatchPtr> ParseRawBlock(uint64_t block);
+
+  /// Moves the reader's I/O counters into the scan's metrics.
+  void FlushReaderCounters();
 
   /// Serves `block` whole as a zero-copy view of its protected
   /// segments, filtered by the pushed conjuncts if any, after the

@@ -33,23 +33,26 @@ AttributeStats::AttributeStats(DataType type) : type_(type) {
   if (type == DataType::kString) string_sample_.reserve(kReservoirSize);
 }
 
-void AttributeStats::Sample(double numeric, const std::string* text) {
+void AttributeStats::Sample(double numeric, std::string_view text) {
   ++sampled_stream_;
-  size_t capacity = kReservoirSize;
-  if (type_ == DataType::kString) {
-    if (string_sample_.size() < capacity) {
-      string_sample_.push_back(*text);
-    } else {
-      uint64_t j = rng_.Uniform(sampled_stream_);
-      if (j < capacity) string_sample_[j] = *text;
-    }
-    return;
+  const bool is_string = type_ == DataType::kString;
+  const size_t filled =
+      is_string ? string_sample_.size() : numeric_sample_.size();
+  size_t slot = filled;
+  if (filled >= kReservoirSize) {
+    // Reservoir step: a uniform index in [0, sampled_stream_) by
+    // multiply-shift (Lemire) rather than a 64-bit modulo per value.
+    __extension__ typedef unsigned __int128 Uint128;
+    slot = static_cast<size_t>(
+        (static_cast<Uint128>(rng_.NextUint64()) * sampled_stream_) >> 64);
+    if (slot >= kReservoirSize) return;  // the value is not kept
   }
-  if (numeric_sample_.size() < capacity) {
-    numeric_sample_.push_back(numeric);
+  if (is_string) {
+    if (slot == filled) string_sample_.emplace_back();
+    string_sample_[slot].assign(text.data(), text.size());
   } else {
-    uint64_t j = rng_.Uniform(sampled_stream_);
-    if (j < capacity) numeric_sample_[j] = numeric;
+    if (slot == filled) numeric_sample_.emplace_back();
+    numeric_sample_[slot] = numeric;
   }
 }
 
@@ -77,8 +80,7 @@ void AttributeStats::Observe(const ColumnVector& column) {
     if (type_ == DataType::kString) {
       std::string_view s = column.GetString(i);
       hash = Fnv1a64(s.data(), s.size());
-      std::string text(s);
-      Sample(0, &text);
+      Sample(0, s);
     } else {
       double v = column.GetNumeric(i);
       if (!min_ || v < *min_) min_ = v;
@@ -87,7 +89,7 @@ void AttributeStats::Observe(const ColumnVector& column) {
       static_assert(sizeof(bits) == sizeof(v));
       std::memcpy(&bits, &v, sizeof(v));
       hash = MixHash64(static_cast<uint64_t>(bits));
-      Sample(v, nullptr);
+      Sample(v, {});
     }
     // KMV sketch: keep the k smallest distinct hashes.
     if (kmv_.size() < kKmvSize || hash < kmv_.back()) {

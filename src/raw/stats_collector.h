@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -114,7 +115,7 @@ class AttributeStats {
   DataType type() const { return type_; }
 
  private:
-  void Sample(double numeric, const std::string* text) REQUIRES(mu_);
+  void Sample(double numeric, std::string_view text) REQUIRES(mu_);
   double EstimateDistinctLocked() const REQUIRES(mu_);
 
   const DataType type_;

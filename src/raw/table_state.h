@@ -27,8 +27,6 @@ struct ComponentFlags {
   bool cache = true;
   bool stats = true;
   bool store = true;
-
-  bool any() const { return map || cache || stats || store; }
 };
 
 /// All adaptive state a NoDB engine accumulates for one raw table:

@@ -11,32 +11,4 @@ void StructuralIndexer::Index(const char* data, size_t size, uint64_t base,
                  want_quotes_ ? &out->quotes : nullptr);
 }
 
-uint32_t StructuralFieldStarts(const std::vector<uint32_t>& delims,
-                               size_t* delim_cursor, uint32_t row_start,
-                               uint32_t row_end, uint32_t until_field,
-                               uint32_t* starts) {
-  uint32_t field = 0;
-  starts[0] = 0;
-  if (until_field == 0) return 0;
-  size_t cursor = *delim_cursor;
-  const size_t total = delims.size();
-  // Skip delimiters left behind by a prior row's early exit (selective
-  // tokenizing stopped before its last field) or by a stripped '\r'.
-  while (cursor < total && delims[cursor] < row_start) ++cursor;
-  while (cursor < total && delims[cursor] < row_end) {
-    const uint32_t next_start = delims[cursor] - row_start + 1;
-    ++cursor;
-    ++field;
-    starts[field] = next_start;
-    if (field >= until_field) {
-      *delim_cursor = cursor;
-      return field;
-    }
-  }
-  *delim_cursor = cursor;
-  // Row exhausted at final field `field`: virtual start closes it.
-  starts[field + 1] = row_end - row_start + 1;
-  return field + 1;
-}
-
 }  // namespace nodb::simd

@@ -13,15 +13,15 @@ namespace nodb::simd {
 /// Stage-1 output of the two-stage parse (the simdjson split applied to
 /// CSV): every structural byte position in one contiguous slab of the
 /// raw file, found by wide block scans with no per-byte branching. The
-/// raw-scan stage 2 then walks these sorted position lists to cut rows
-/// and fields without ever re-touching non-structural bytes.
+/// parallel first touch's stage 2 walks the sorted newline list to cut
+/// rows without re-touching non-structural bytes.
 ///
 /// Positions are slab-relative (the slab's first byte is 0); `base` is
 /// the slab's absolute file offset, recorded so callers can translate.
 struct StructuralIndex {
   uint64_t base = 0;
   std::vector<uint32_t> delims;    ///< dialect delimiter bytes
-  std::vector<uint32_t> newlines;  ///< '\n' bytes (CR handled by stage 2)
+  std::vector<uint32_t> newlines;  ///< '\n' bytes (the tokenizer strips CR)
   std::vector<uint32_t> quotes;    ///< dialect quote bytes (quoting only)
 
   void Clear() {
@@ -34,11 +34,9 @@ struct StructuralIndex {
 /// Builds StructuralIndexes for one dialect at one SIMD tier.
 ///
 /// `want_fields = false` drops delimiter/quote extraction (a pure
-/// row-discovery scan, e.g. COUNT(*) first touch, needs newlines only).
-/// Quote positions are collected only for quoting dialects: stage 2
-/// routes any row containing a quote byte to the serial quote-aware
-/// tokenizer, which keeps lenient RFC-4180 semantics byte-identical
-/// without a speculative quote-state machine in stage 1.
+/// row-discovery scan, e.g. the parallel first touch, needs newlines
+/// only). Quote positions are collected only for quoting dialects;
+/// stage 1 runs no quote-state machine.
 class StructuralIndexer {
  public:
   StructuralIndexer(const CsvDialect& dialect, SimdLevel level,
@@ -64,23 +62,6 @@ class StructuralIndexer {
   bool want_quotes_;
   SimdLevel level_;
 };
-
-/// Stage-2 field cutter: reproduces CsvTokenizer::ScanStarts(stripped
-/// row, 0, 0, until_field, starts) for an unquoted row directly from the
-/// index's delimiter list, with `starts` row-relative per the virtual-
-/// start convention (tokenizer.h).
-///
-/// `row_start` / `row_end` bound the row within the indexed slab,
-/// *after* stripping a trailing '\r' (a delimiter hiding in the
-/// stripped byte is ignored, exactly as ScanStarts never sees it).
-/// `*delim_cursor` is the caller's monotone position in `delims`;
-/// entries before `row_start` are skipped, so rows must be visited in
-/// slab order. Returns ScanStarts' `high` contract: `>= until_field`
-/// means satisfied, otherwise the row has exactly `high` fields.
-uint32_t StructuralFieldStarts(const std::vector<uint32_t>& delims,
-                               size_t* delim_cursor, uint32_t row_start,
-                               uint32_t row_end, uint32_t until_field,
-                               uint32_t* starts);
 
 }  // namespace nodb::simd
 

@@ -14,8 +14,10 @@
 #include "datagen/synthetic.h"
 #include "engines/load_first_engine.h"
 #include "engines/nodb_engine.h"
+#include "exec/query_result.h"
 #include "io/temp_dir.h"
 #include "raw/parallel_scan.h"
+#include "raw/raw_scan.h"
 #include "util/random.h"
 
 namespace nodb {
@@ -205,7 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceCase{6, 32}, EquivalenceCase{7, 128},
                       EquivalenceCase{7, 16}, EquivalenceCase{7, 1024}));
 
-/// The parallel chunked first-touch scan (NoDbConfig::num_threads) must
+/// The parallel first touch (NoDbConfig::num_threads) must
 /// be invisible in query results: for any thread count, cold and warm
 /// answers equal both the serial NoDB engine's and the load-first
 /// reference's.
@@ -310,11 +312,11 @@ TEST(ParallelEquivalenceCrlf, CrlfFileMatchesReferenceAtEveryThreadCount) {
   }
 }
 
-/// Quoted CSV must not take the parallel chunked first-touch path:
-/// chunk boundaries are aligned on raw '\n' bytes, which RFC-4180
-/// quoting allows *inside* a field, so a boundary could split a record
-/// mid-quote. The engine falls back to the serial first-touch path
-/// (and the direct parallel scan collapses to a single chunk).
+/// Quoted CSV takes the parallel first touch like any other file: its
+/// row discovery cuts rows on raw '\n' bytes exactly as the serial
+/// scan's row location does (RFC-4180 quoting allows a '\n' inside a
+/// field, and both engines see it as a row break), and the fields of
+/// each row are cut by the one quote-aware block loop.
 TEST(QuotedCsvFallback, QuotedFieldsMatchReferenceAtEveryThreadCount) {
   auto dir = TempDir::Create("nodb-equiv-quoted");
   ASSERT_TRUE(dir.ok());
@@ -360,20 +362,19 @@ TEST(QuotedCsvFallback, QuotedFieldsMatchReferenceAtEveryThreadCount) {
       EXPECT_EQ(warm->result.CanonicalRows(),
                 expected->result.CanonicalRows());
     }
-    // The fallback really engaged: no parallel prewarm was claimed.
+    // The threaded engines really took the parallel first touch.
     const RawTableState* state = nodb.table_state("t");
     ASSERT_NE(state, nullptr);
-    EXPECT_FALSE(state->parallel_prewarmed());
+    EXPECT_EQ(state->parallel_prewarmed(), threads > 1);
   }
 }
 
-TEST(QuotedCsvFallback, DirectParallelScanCollapsesToOneChunk) {
+TEST(QuotedCsvFallback, ParallelFirstTouchMatchesSerialOnRawNewlines) {
   auto dir = TempDir::Create("nodb-equiv-quoted-direct");
   ASSERT_TRUE(dir.ok());
-  // Quoted fields containing raw newlines: exactly the bytes that
-  // would corrupt rows if chunk boundaries split on them. The direct
-  // parallel entry point must degrade to a single serial chunk, so
-  // its structures match what the serial scan builds.
+  // Quoted fields containing raw newlines: discovery ranges may split
+  // inside a quoted field, and must still find the rows the serial
+  // scan's row location finds.
   std::string content;
   for (int i = 0; i < 200; ++i) {
     content += std::to_string(i) + ",\"a\nb" + std::to_string(i) + "\"\n";
@@ -386,12 +387,24 @@ TEST(QuotedCsvFallback, DirectParallelScanCollapsesToOneChunk) {
                     CsvDialect::QuotedCsv()};
   NoDbConfig config;
   config.rows_per_block = 64;
-  RawTableState state(info, config);
-  ASSERT_TRUE(state.Open().ok());
-
-  auto stats = ParallelChunkedScan(&state, {0}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->byte_chunks, 1u);
+  RawTableState serial_state(info, config);
+  RawScanOperator serial_scan(&serial_state, {0}, nullptr);
+  auto serial_rows = QueryResult::Drain(&serial_scan);
+  ASSERT_TRUE(serial_rows.ok()) << serial_rows.status().ToString();
+  for (uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    RawTableState state(info, config);
+    Status s = ParallelFirstTouch(&state, {0}, threads);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(state.map().known_rows(), serial_state.map().known_rows());
+    RawScanOperator scan(&state, {0}, nullptr);
+    auto rows = QueryResult::Drain(&scan);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->num_rows(), serial_rows->num_rows());
+    for (size_t r = 0; r < rows->num_rows(); ++r) {
+      EXPECT_EQ(rows->Row(r), serial_rows->Row(r)) << "row " << r;
+    }
+  }
 
   // Engine-level: the same file through the threaded engine config
   // equals the serial engine (both see raw-newline row semantics).
@@ -412,7 +425,7 @@ TEST(QuotedCsvFallback, DirectParallelScanCollapsesToOneChunk) {
             serial_out->result.CanonicalRows());
   const RawTableState* par_state = parallel.table_state("t");
   ASSERT_NE(par_state, nullptr);
-  EXPECT_FALSE(par_state->parallel_prewarmed());
+  EXPECT_TRUE(par_state->parallel_prewarmed());
 }
 
 /// The concurrent-serving property: N clients hammering one shared

@@ -7,8 +7,10 @@
 
 #include <cstdio>
 
+#include "catalog/catalog.h"
 #include "csv/csv_writer.h"
 #include "engines/csv_loader.h"
+#include "engines/nodb_engine.h"
 #include "exec/filter.h"
 #include "exec/query_result.h"
 #include "io/file.h"
@@ -494,18 +496,54 @@ TEST_F(RawScanTest, RandomizedAgainstBulkLoader) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel chunked scan: the multi-threaded first-touch path must leave
+// Parallel first touch: the multi-threaded first-touch path must leave
 // the table state — and therefore every later query — byte-identical to
 // what the serial scan produces, at any thread count.
+
+TEST_F(RawScanTest, ScanBlockDrainsBlocksInAnyOrder) {
+  // 300 rows in 64-row blocks: blocks 0-3 full, block 4 the 44-row tail.
+  auto info = WriteFixture("blocks", 300, 4);
+  RawTableState state(info, SmallBlocks(true, true, true));
+  RawScanOperator scan(&state, {0, 2}, nullptr, /*internal=*/true);
+  ASSERT_TRUE(scan.Open().ok());
+  for (uint64_t block : {4u, 1u, 3u, 0u, 2u, 5u}) {
+    auto more = scan.ScanBlock(block);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    EXPECT_EQ(*more, block < 4) << "block " << block;
+  }
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments,
+            10u);
+  ScanMetrics warm;
+  VerifyScan(&state, {0, 2}, 300, &warm);
+  EXPECT_EQ(warm.fields_converted, 0u);
+  EXPECT_EQ(warm.rows_from_raw, 0u);
+}
+
+TEST_F(RawScanTest, ScanBlockWithoutTheMapFailsAndPublishesNothing) {
+  // A scan not locating rows through the row index would take the rows
+  // after its cursor as any block's (rows 0-63 cached as block 1).
+  auto info = WriteFixture("blocksoff", 300, 4);
+  RawTableState state(info, SmallBlocks(false, true, true));
+  RawScanOperator scan(&state, {0, 2}, nullptr, /*internal=*/true);
+  ASSERT_TRUE(scan.Open().ok());
+  for (uint64_t block : {1u, 0u}) {
+    EXPECT_FALSE(scan.ScanBlock(block).ok()) << "block " << block;
+  }
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
+  EXPECT_EQ(state.segments().stats(SegmentClass::kProtected).segments, 0u);
+  EXPECT_TRUE(state.stats().CoveredAttributes().empty());
+  EXPECT_EQ(state.zones().num_entries(), 0u);
+  VerifyScan(&state, {0, 2}, 300);
+}
 
 TEST_F(RawScanTest, ParallelPrewarmServesWarmScans) {
   for (uint32_t threads : {1u, 2u, 8u}) {
     auto info =
         WriteFixture("p" + std::to_string(threads), 500, 8);
     RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {1, 4, 6}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 500u);
+    Status s = ParallelFirstTouch(&state, {1, 4, 6}, threads);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(state.map().known_rows(), 500u);
 
     // The scan behaves fully warm: no tokenizing, no raw-file I/O.
     ScanMetrics warm;
@@ -524,8 +562,8 @@ TEST_F(RawScanTest, ParallelStateIdenticalToSerialAtAnyThreadCount) {
 
   for (uint32_t threads : {1u, 2u, 8u}) {
     RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {0, 2, 5}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    Status s = ParallelFirstTouch(&state, {0, 2, 5}, threads);
+    ASSERT_TRUE(s.ok()) << s.ToString();
     SCOPED_TRACE(std::to_string(threads) + " threads");
     EXPECT_EQ(state.map().known_rows(), serial.map().known_rows());
     EXPECT_TRUE(state.map().rows_complete());
@@ -535,6 +573,9 @@ TEST_F(RawScanTest, ParallelStateIdenticalToSerialAtAnyThreadCount) {
               serial.segments().stats(SegmentClass::kProbationary).segments);
     EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).bytes,
               serial.segments().stats(SegmentClass::kProbationary).bytes);
+    EXPECT_EQ(state.zones().num_entries(), serial.zones().num_entries());
+    EXPECT_EQ(state.stats().CoveredAttributes(),
+              serial.stats().CoveredAttributes());
     VerifyScan(&state, {0, 2, 5}, 777);
   }
 }
@@ -554,9 +595,9 @@ TEST_F(RawScanTest, ParallelPrewarmCrlfFixture) {
                     CsvDialect()};
   for (uint32_t threads : {1u, 2u, 8u}) {
     RawTableState state(info, SmallBlocks(true, true, true));
-    auto stats = ParallelChunkedScan(&state, {0, 1, 2}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 200u);
+    Status s = ParallelFirstTouch(&state, {0, 1, 2}, threads);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(state.map().known_rows(), 200u);
     RawScanOperator scan(&state, {0, 1, 2}, nullptr);
     auto result = QueryResult::Drain(&scan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -570,7 +611,7 @@ TEST_F(RawScanTest, ParallelPrewarmCrlfFixture) {
 TEST_F(RawScanTest, ParallelPrewarmHeaderAndMissingFinalNewline) {
   auto with_header = WriteFixture("hdr", 150, 4, /*header=*/true);
   RawTableState hstate(with_header, SmallBlocks(true, true, true));
-  ASSERT_TRUE(ParallelChunkedScan(&hstate, {0, 3}, 8).ok());
+  ASSERT_TRUE(ParallelFirstTouch(&hstate, {0, 3}, 8).ok());
   VerifyScan(&hstate, {0, 3}, 150);
 
   std::string path = dir_->FilePath("nonl_par.csv");
@@ -580,9 +621,9 @@ TEST_F(RawScanTest, ParallelPrewarmHeaderAndMissingFinalNewline) {
                                   {"b", DataType::kInt64}}),
                     CsvDialect()};
   RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {0, 1}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows, 3u);
+  Status s = ParallelFirstTouch(&state, {0, 1}, 8);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(state.map().known_rows(), 3u);
   RawScanOperator scan(&state, {0, 1}, nullptr);
   auto result = QueryResult::Drain(&scan);
   ASSERT_TRUE(result.ok());
@@ -591,7 +632,7 @@ TEST_F(RawScanTest, ParallelPrewarmHeaderAndMissingFinalNewline) {
 }
 
 TEST_F(RawScanTest, ParallelMapOnlyNoFinalNewlineLastRowIntact) {
-  // Regression: empty tail chunks (boundary targets landing inside a
+  // Regression: empty tail ranges (boundary targets landing inside a
   // row) used to clobber the discovery cursor, truncating the final
   // unterminated row. Map-only config so nothing is served from cache.
   std::string path = dir_->FilePath("nonl_maponly.csv");
@@ -602,9 +643,9 @@ TEST_F(RawScanTest, ParallelMapOnlyNoFinalNewlineLastRowIntact) {
                     CsvDialect()};
   for (uint32_t threads : {2u, 8u, 16u}) {
     RawTableState state(info, SmallBlocks(true, false, false));
-    auto stats = ParallelChunkedScan(&state, {0, 1}, threads);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->rows, 3u);
+    Status s = ParallelFirstTouch(&state, {0, 1}, threads);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(state.map().known_rows(), 3u);
     RawScanOperator scan(&state, {0, 1}, nullptr);
     auto result = QueryResult::Drain(&scan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -617,8 +658,8 @@ TEST_F(RawScanTest, ParallelMapOnlyNoFinalNewlineLastRowIntact) {
 TEST_F(RawScanTest, ParallelBoundaryTargetsInsideOneRowStillSplit) {
   // Regression: when one boundary target fell inside the previous
   // boundary's row, every later boundary collapsed to end-of-file and
-  // the scan degraded to a single chunk. A long first row followed by
-  // many short rows must still produce multiple non-empty chunks.
+  // discovery degraded to a single range. A long first row followed by
+  // many short rows must still split into multiple non-empty ranges.
   std::string content = "9";
   content.append(2000, '0');  // one very long first field
   content += ",1\n";
@@ -632,9 +673,9 @@ TEST_F(RawScanTest, ParallelBoundaryTargetsInsideOneRowStillSplit) {
                                   {"b", DataType::kInt64}}),
                     CsvDialect()};
   RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {0, 1}, 8);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows, 51u);
+  Status s = ParallelFirstTouch(&state, {0, 1}, 8);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(state.map().known_rows(), 51u);
   RawScanOperator scan(&state, {0, 1}, nullptr);
   auto result = QueryResult::Drain(&scan);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -645,9 +686,7 @@ TEST_F(RawScanTest, ParallelBoundaryTargetsInsideOneRowStillSplit) {
 TEST_F(RawScanTest, ParallelPrewarmEmptyProjectionBuildsRowIndex) {
   auto info = WriteFixture("count", 321, 4);
   RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {}, 4);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->rows, 321u);
+  ASSERT_TRUE(ParallelFirstTouch(&state, {}, 4).ok());
   EXPECT_EQ(state.map().known_rows(), 321u);
   EXPECT_TRUE(state.map().rows_complete());
   // A COUNT(*)-style scan now locates rows without newline hunting.
@@ -659,36 +698,48 @@ TEST_F(RawScanTest, ParallelPrewarmEmptyProjectionBuildsRowIndex) {
   EXPECT_EQ(metrics.parsing_ns, 0);
 }
 
-TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialErrorUntouched) {
-  std::string path = dir_->FilePath("bad_par.csv");
-  ASSERT_TRUE(WriteStringToFile(path, "1,2\n3,oops\n5,6\n").ok());
-  RawTableInfo info{"badp", path,
-                    Schema::Make({{"a", DataType::kInt64},
-                                  {"b", DataType::kInt64}}),
-                    CsvDialect()};
-  RawTableState state(info, SmallBlocks(true, true, true));
-  auto stats = ParallelChunkedScan(&state, {1}, 8);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_TRUE(stats.status().IsParseError());
-  // Same "row N" the serial scan reports, and no half-built state.
-  EXPECT_NE(stats.status().message().find("row 1"), std::string::npos);
-  EXPECT_EQ(state.map().known_rows(), 0u);
-  EXPECT_EQ(state.segments().stats(SegmentClass::kProbationary).segments, 0u);
+TEST_F(RawScanTest, ParallelPrewarmSurfacesSerialError) {
+  // A bad value and a short row: the threaded engine's first touch
+  // leaves the failing block uncommitted, and the query's own scan
+  // reports the serial engine's exact message — on every run.
+  struct BadFile {
+    std::string name;
+    std::string content;
+    std::string sql;
+  } files[] = {
+      {"badp", "1,2\n3,oops\n5,6\n", "SELECT SUM(b) AS s FROM badp"},
+      {"shortp", "1,2,3\n4,5\n6,7,8\n", "SELECT SUM(c) AS s FROM shortp"},
+  };
+  for (const BadFile& f : files) {
+    SCOPED_TRACE(f.name);
+    std::string path = dir_->FilePath(f.name + ".csv");
+    ASSERT_TRUE(WriteStringToFile(path, f.content).ok());
+    Catalog catalog;
+    ASSERT_TRUE(catalog
+                    .RegisterTable({f.name, path,
+                                    Schema::Make({{"a", DataType::kInt64},
+                                                  {"b", DataType::kInt64},
+                                                  {"c", DataType::kInt64}}),
+                                    CsvDialect()})
+                    .ok());
+    NoDbConfig serial_config = SmallBlocks(true, true, true);
+    NoDbEngine serial(catalog, serial_config);
+    auto want = serial.Execute(f.sql);
+    ASSERT_FALSE(want.ok());
+    ASSERT_TRUE(want.status().IsParseError());
+    EXPECT_NE(want.status().message().find("row 1"), std::string::npos);
 
-  // Short rows likewise mirror the serial field-count error.
-  std::string short_path = dir_->FilePath("short_par.csv");
-  ASSERT_TRUE(WriteStringToFile(short_path, "1,2,3\n4,5\n6,7,8\n").ok());
-  RawTableInfo short_info{"shortp", short_path,
-                          Schema::Make({{"a", DataType::kInt64},
-                                        {"b", DataType::kInt64},
-                                        {"c", DataType::kInt64}}),
-                          CsvDialect()};
-  RawTableState short_state(short_info, SmallBlocks(true, true, true));
-  auto short_stats = ParallelChunkedScan(&short_state, {2}, 8);
-  ASSERT_FALSE(short_stats.ok());
-  EXPECT_TRUE(short_stats.status().IsParseError());
-  EXPECT_NE(short_stats.status().message().find("row 1"),
-            std::string::npos);
+    NoDbConfig par_config = serial_config;
+    par_config.num_threads = 8;
+    NoDbEngine parallel(catalog, par_config);
+    for (int run = 0; run < 2; ++run) {
+      auto got = parallel.Execute(f.sql);
+      ASSERT_FALSE(got.ok()) << "run " << run;
+      EXPECT_TRUE(got.status().IsParseError()) << "run " << run;
+      EXPECT_EQ(got.status().message(), want.status().message())
+          << "run " << run;
+    }
+  }
 }
 
 // -------------------------------------------- pushdown and zone maps
@@ -903,7 +954,7 @@ TEST_F(RawScanTest, ParallelPrewarmBuildsZoneMaps) {
   auto info = WriteFixture("pz", 300, 4);
   RawTableState state(info, SmallBlocks(true, true, true));
   ASSERT_TRUE(state.Open().ok());
-  ASSERT_TRUE(ParallelChunkedScan(&state, {0, 2}, 4).ok());
+  ASSERT_TRUE(ParallelFirstTouch(&state, {0, 2}, 4).ok());
   EXPECT_GT(state.zones().num_entries(), 0u);
 
   // The first post-prewarm query already zone-skips.
@@ -917,17 +968,20 @@ TEST_F(RawScanTest, ParallelPrewarmBuildsZoneMaps) {
 }
 
 TEST_F(RawScanTest, ParallelPrewarmKnobSubsets) {
-  // Each knob subset only populates its enabled structures.
+  // Each knob subset only populates its enabled structures; without
+  // the map (blocks are addressed through its row index) the first
+  // touch builds nothing.
   auto info = WriteFixture("knobs", 300, 5);
   for (int mask = 0; mask < 8; ++mask) {
+    SCOPED_TRACE("mask " + std::to_string(mask));
     RawTableState state(info, SmallBlocks(mask & 1, mask & 2, mask & 4));
-    ASSERT_TRUE(ParallelChunkedScan(&state, {1, 3}, 4).ok());
+    ASSERT_TRUE(ParallelFirstTouch(&state, {1, 3}, 4).ok());
     if (mask & 1) {
       EXPECT_EQ(state.map().known_rows(), 300u);
     } else {
       EXPECT_EQ(state.map().known_rows(), 0u);
     }
-    if (mask & 2) {
+    if ((mask & 1) && (mask & 2)) {
       EXPECT_GT(state.segments().stats(SegmentClass::kProbationary).segments,
                 0u);
     } else {

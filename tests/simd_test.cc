@@ -192,58 +192,6 @@ TEST(SimdStructuralIndex, RandomSlabSplitsConcatenateExactly) {
   }
 }
 
-TEST(SimdStructuralIndex, FieldStartsMatchScanStartsOnRandomRows) {
-  Random rng(31337);
-  const CsvDialect dialect;  // comma, quoting off
-  const CsvTokenizer tokenizer(dialect, SimdLevel::kScalar);
-  for (int round = 0; round < 200; ++round) {
-    // A slab of several rows, walked with one monotone delimiter
-    // cursor — the exact stage-2 access pattern of ScanChunk.
-    std::string slab;
-    std::vector<std::pair<uint32_t, uint32_t>> rows;  // [start, end)
-    const int num_rows = 1 + static_cast<int>(rng.Uniform(8));
-    for (int r = 0; r < num_rows; ++r) {
-      const uint32_t start = static_cast<uint32_t>(slab.size());
-      const size_t len = rng.Uniform(40);
-      for (size_t i = 0; i < len; ++i) {
-        slab.push_back(rng.Bernoulli(0.25)
-                           ? ','
-                           : static_cast<char>('a' + rng.Uniform(26)));
-      }
-      if (rng.Bernoulli(0.3)) slab.push_back('\r');
-      rows.emplace_back(start, static_cast<uint32_t>(slab.size()));
-      slab.push_back('\n');
-    }
-
-    simd::StructuralIndexer indexer(dialect, SimdLevel::kScalar);
-    simd::StructuralIndex index;
-    indexer.Index(slab.data(), slab.size(), 0, &index);
-
-    const uint32_t until_field = 1 + static_cast<uint32_t>(rng.Uniform(8));
-    size_t delim_cursor = 0;
-    for (auto [start, end] : rows) {
-      SCOPED_TRACE("round " + std::to_string(round) + " row at " +
-                   std::to_string(start));
-      const Slice line(slab.data() + start, end - start);
-      std::vector<uint32_t> want(until_field + 2, 0xDEADu);
-      const uint32_t want_high =
-          tokenizer.ScanStarts(line, 0, 0, until_field, want.data());
-
-      uint32_t stripped = static_cast<uint32_t>(line.size());
-      if (stripped > 0 && line[stripped - 1] == '\r') --stripped;
-      std::vector<uint32_t> got(until_field + 2, 0xDEADu);
-      const uint32_t got_high = simd::StructuralFieldStarts(
-          index.delims, &delim_cursor, start, start + stripped, until_field,
-          got.data());
-
-      ASSERT_EQ(got_high, want_high);
-      for (uint32_t i = 0; i <= want_high; ++i) {
-        EXPECT_EQ(got[i], want[i]) << "starts[" << i << "]";
-      }
-    }
-  }
-}
-
 TEST(SimdTokenizer, ScanStartsIdenticalAcrossLevelsOnRandomLines) {
   Random rng(555);
   for (const char delim : {',', '|'}) {

@@ -1,5 +1,5 @@
 // Tests for the util/thread_pool fork/join primitive backing the
-// parallel chunked raw scan.
+// parallel first touch of a raw table.
 
 #include "obs/metrics.h"
 #include "util/mutex.h"
